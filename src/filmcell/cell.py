@@ -43,11 +43,11 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrand import MaterialPoint, StoredEnergyDensity
+from .integrand import FiberInfimumError, MaterialPoint, StoredEnergyDensity
 from .field import (
     CellMesh, DiscreteField, EnergyContext,
     LATERAL_ZERO, LATERAL_PERIODIC, FULLY_PERIODIC,
-    pack, unpack, reduce_gradient, affine_values, inject, refine_mesh,
+    pack, unpack, affine_values, inject, kinematic_operator, refine_mesh,
 )
 from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize, golden_section
 
@@ -171,35 +171,6 @@ def _spec_hash(W: StoredEnergyDensity, spec: CellProblemSpec, kind: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Transverse-average projector (reparametrized constraint)
-# ---------------------------------------------------------------------------
-
-def _trace_mean(values, mesh):
-    """In-plane mean of the top/bottom trace difference (periodic weights)."""
-    n1, n2 = mesh.n1, mesh.n2
-    diff = values[:n1, :n2, -1, :] - values[:n1, :n2, 0, :]
-    return diff.mean(axis=(0, 1))
-
-
-def _apply_projector(values, mesh, x3_nodes):
-    m = _trace_mean(values, mesh)
-    return values - 0.5 * x3_nodes[None, None, :, None] * m[None, None, None, :]
-
-
-def _projector_adjoint(grad, mesh, x3_nodes):
-    # The ramp correction touches every full-array slot, so the moment r
-    # sums over all of them; the mean only reads the distinct boundary
-    # layers, so only those receive the transposed contribution.
-    n1, n2 = mesh.n1, mesh.n2
-    r = np.einsum("k,ijkd->d", 0.5 * x3_nodes, grad)
-    out = grad.copy()
-    c = r / (n1 * n2)
-    out[:n1, :n2, -1, :] -= c[None, None, :]
-    out[:n1, :n2, 0, :] += c[None, None, :]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Start construction
 # ---------------------------------------------------------------------------
 
@@ -269,24 +240,13 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
     """
     ctx = EnergyContext(W, mesh, transverse_scale=scale, prefactor=0.5,
                         x_mode=x_mode, x0=spec.x0,
-                        inplane_offset=fbar, transverse_offset=z)
-    x3_nodes = mesh.node_coords()[2]
-
-    def fun(vec):
-        full = unpack(vec, mesh)
-        if constrained:
-            full = _apply_projector(full, mesh, x3_nodes)
-        val, graw = ctx.value_and_grad(full)
-        if constrained:
-            graw = _projector_adjoint(graw, mesh, x3_nodes)
-        return val, pack(reduce_gradient(graw, mesh), mesh)
-
+                        inplane_offset=fbar, transverse_offset=z,
+                        constrained=constrained)
     starts = [(label, pack(vals, mesh)) for label, vals in
               _base_starts(W, mesh, spec, fbar, scale, warm_values)]
-    best, summaries = multistart_minimize(fun, starts, spec.inner.solver())
-    full = unpack(best.x, mesh)
-    if constrained:
-        full = _apply_projector(full, mesh, x3_nodes)
+    best, summaries = multistart_minimize(ctx.value_and_grad, starts,
+                                          spec.inner.solver())
+    full = unpack(ctx.operator.project(best.x), mesh)
     diag = {"starts": summaries, "grad_norm": best.grad_norm,
             "iterations": sum(s["iterations"] for s in summaries),
             "status": best.status}
@@ -394,15 +354,12 @@ class QuasiconvexSurrogate:
         ctx = EnergyContext(self.W, mesh, transverse_scale=scale, prefactor=0.5,
                             x_mode="frozen", x0=spec.x0,
                             inplane_offset=fbar, transverse_offset=z)
-        G = ctx._gradients(values_full)
-        q3 = mesh.quad_coords()[2]
-        wq = ctx._wq
+        G = ctx.gradients(values_full)
+        q3 = mesh.quad_coords()[2].ravel()
+        wq = mesh.quad_weights().ravel()
         total = 0.0
-        for i in range(mesh.n1):
-            for j in range(mesh.n2):
-                for k in range(mesh.n3):
-                    for q in range(wq.size):
-                        total += wq[q] * self.value(q3[i, j, k, q], G[i, j, k, q])
+        for x3, w, F in zip(q3, wq, G):
+            total += w * self.value(x3, F)
         return 0.5 * total
 
     def stats(self):
@@ -558,14 +515,16 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
     mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
     x3_nodes = mesh.node_coords()[2]
     cfg = spec.inner.solver()
-    nfree = mesh.n1 * mesh.n2 * (mesh.n3 + 1) * 3
+    projector = kinematic_operator(mesh, constrained=True)
+    nfree = projector.ndof
 
     z_starts = [("z0", np.zeros(3))]
+    fiber_skipped = False
     try:
         _, z_fiber = W.fiber_infimum(spec.x0, spec.fbar)
         z_starts.append(("zf", z_fiber))
-    except Exception:
-        pass
+    except FiberInfimumError:
+        fiber_skipped = True
     g = W.growth
     radius = ((g.beta_upper / g.beta_lower)
               * (float(np.sum(spec.fbar ** 2)) ** (g.p / 2.0) + 1.0)) ** (1.0 / g.p)
@@ -579,15 +538,12 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
     def solve_at(L, warm_values):
         ctx = EnergyContext(W, mesh, transverse_scale=L, prefactor=0.5,
                             x_mode="frozen", x0=spec.x0,
-                            inplane_offset=spec.fbar, transverse_offset=None)
+                            inplane_offset=spec.fbar, constrained=True)
 
         def fun(vec):
-            psi = _apply_projector(unpack(vec[:nfree], mesh), mesh, x3_nodes)
             ctx.transverse_offset = vec[nfree:]
-            val, graw, _, dz = ctx.value_and_grad(psi, offset_grads=True)
-            graw = _projector_adjoint(graw, mesh, x3_nodes)
-            return val, np.concatenate(
-                [pack(reduce_gradient(graw, mesh), mesh), dz])
+            val, grad, _, dz = ctx.value_and_grad(vec[:nfree], offset_grads=True)
+            return val, np.concatenate([grad, dz])
 
         starts = []
         if warm_values is not None:
@@ -617,7 +573,9 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
         return best.value, best.x, diag
 
     value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, warm0)
-    psi = _apply_projector(unpack(joint[:nfree], mesh), mesh, x3_nodes)
+    if fiber_skipped:
+        diag["warnings"].append("fiber-start-skipped")
+    psi = unpack(projector.project(joint[:nfree]), mesh)
     b0 = joint[nfree:].copy()
     value = _relaxed_value(W, spec, value, psi, mesh, b0, l_star, diag)
     diag["coercivity_radius"] = radius

@@ -13,7 +13,7 @@ single hash.
 Exit codes: 0 success, 1 failure (bad config, solver error, failed
 check), 2 success with warnings (the thickness-ratio search stopped on
 the boundary of its window, so the reported minimum may be a window
-artifact).
+artifact; or a ``gamma`` limit or film solve ran out of iterations).
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = ["cmd_density", "cmd_cosserat", "cmd_qcx", "cmd_gamma",
            "cmd_tabulate", "cmd_check", "CHECKS", "main"]
 
 BOUNDARY_WARNING = "l-search-boundary"
+NOT_CONVERGED_WARNING = "not-converged"
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +222,19 @@ def cmd_gamma(config, out_dir=None, threads=1, export=None, argv=None):
     else:
         raise ConfigError("config key 'gamma.source' must be 'cell' or 'table'")
     study = convergence_study(problem, source=source, threads=threads)
-    body = {"command": "gamma", "config": resolved,
-            "integrand_hash": problem.W.content_hash(),
-            "source": src_kind, "study": study.to_record(),
-            "gaps": study.gaps, "ok": study.ok}
-    code = 0 if study.ok else 1
     warnings = list(study.limit_info.get("warnings", []))
     for row in study.rows:
         warnings.extend(row.get("warnings", []))
-    if code == 0 and BOUNDARY_WARNING in warnings:
+    if any(info.get("status") == "max_iter"
+           for info in [study.limit_info] + study.rows):
+        warnings.append(NOT_CONVERGED_WARNING)
+    body = {"command": "gamma", "config": resolved,
+            "integrand_hash": problem.W.content_hash(),
+            "source": src_kind, "study": study.to_record(),
+            "gaps": study.gaps, "ok": study.ok, "warnings": warnings}
+    code = 0 if study.ok else 1
+    if code == 0 and (BOUNDARY_WARNING in warnings
+                      or NOT_CONVERGED_WARNING in warnings):
         code = 2
     return _finish("gamma", body, _meta(t0, argv), out_dir, export,
                    study.to_csv, code)

@@ -21,27 +21,35 @@ Boundary modes:
   * ``lateral-affine``    lateral faces pinned to a caller datum.
 
 Top and bottom faces are always traction-free (no constraint).
-Gradients of the discrete energy are exact: ``energy_gradient`` is the
-transpose of the assembly chain, with constrained nodes carrying zero
-and periodic twins folded onto their representatives.
+
+Every evaluation goes through one linear map per mesh geometry and dof
+rule: a sparse matrix B from the dof vector (free dofs of a boundary
+mode, or raw nodal values) to unscaled gradients at the quadrature
+points, with prescribed nodes dropped and periodic twins sharing a
+column.  Gradients of the discrete energy are exact: B^T applied to the
+weighted stress.  The same builder gives the 2D operators of the
+mid-surface sheet used by the thin-film limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .integrand import MaterialPoint, StoredEnergyDensity
 
 __all__ = [
     "LATERAL_ZERO", "LATERAL_PERIODIC", "LATERAL_AFFINE", "FULLY_PERIODIC",
-    "CellMesh", "DiscreteField",
+    "PINNED", "PERIODIC", "OPEN",
+    "CellMesh", "DiscreteField", "KinematicOperator",
+    "grid_operator", "kinematic_operator",
     "affine_values", "scaled_gradient",
     "energy_integral", "energy_gradient", "EnergyContext",
     "transverse_average", "refine_mesh", "inject",
     "pack", "unpack", "reduce_gradient", "free_size",
-    "dump_grid_text", "read_grid_text",
 ]
 
 LATERAL_ZERO = "lateral-zero"
@@ -51,8 +59,19 @@ FULLY_PERIODIC = "fully-periodic"
 
 _MODES = (LATERAL_ZERO, LATERAL_PERIODIC, LATERAL_AFFINE, FULLY_PERIODIC)
 
-# Corner c <-> bit triple (ci, cj, ck), ci = x1-side etc.
-_CORNERS = [(c >> 2 & 1, c >> 1 & 1, c & 1) for c in range(8)]
+# Per-axis dof rules of a structured grid with n cells along the axis:
+# PINNED nodes 1..n-1 carry unknowns (both end nodes are prescribed),
+# PERIODIC node i maps onto i mod n, OPEN nodes 0..n all carry unknowns.
+PINNED = "pinned"
+PERIODIC = "periodic"
+OPEN = "open"
+
+_MODE_AXES = {
+    LATERAL_ZERO: (PINNED, PINNED, OPEN),
+    LATERAL_AFFINE: (PINNED, PINNED, OPEN),
+    LATERAL_PERIODIC: (PERIODIC, PERIODIC, OPEN),
+    FULLY_PERIODIC: (PERIODIC, PERIODIC, PERIODIC),
+}
 
 
 def _reference_rule(quadrature: str):
@@ -65,41 +84,169 @@ def _reference_rule(quadrature: str):
     raise ValueError(f"unknown quadrature rule {quadrature!r}")
 
 
-_ASSEMBLY_CACHE: dict = {}
+@functools.lru_cache(maxsize=None)
+def _tensor_rule(quadrature: str, dim: int):
+    """Tensor-product rule and multilinear shape functions on [0, 1]^dim.
 
-
-def _assembly(quadrature: str):
-    """Reference shape values/derivatives at quadrature points (cached)."""
-    if quadrature in _ASSEMBLY_CACHE:
-        return _ASSEMBLY_CACHE[quadrature]
+    Returns (xi, wq, corners, shape, dshape): points (nq, dim) with the
+    first axis slowest, weights (nq,), corner bits (2^dim, dim) with the
+    first axis highest, shape values (nq, 2^dim) and reference
+    derivatives (nq, 2^dim, dim).  Shared between callers: read-only.
+    """
     t, w = _reference_rule(quadrature)
-    npt = t.size
-    nq = npt ** 3
-    xi = np.empty((nq, 3))
-    wq = np.empty(nq)
-    q = 0
-    for a in range(npt):
-        for b in range(npt):
-            for c in range(npt):
-                xi[q] = (t[a], t[b], t[c])
-                wq[q] = w[a] * w[b] * w[c]
-                q += 1
-    shp = np.empty((nq, 8))
-    dshp = np.empty((nq, 8, 3))
-    for ci, (bi, bj, bk) in enumerate(_CORNERS):
-        l1 = np.where(bi, xi[:, 0], 1.0 - xi[:, 0])
-        l2 = np.where(bj, xi[:, 1], 1.0 - xi[:, 1])
-        l3 = np.where(bk, xi[:, 2], 1.0 - xi[:, 2])
-        d1 = np.where(bi, 1.0, -1.0)
-        d2 = np.where(bj, 1.0, -1.0)
-        d3 = np.where(bk, 1.0, -1.0)
-        shp[:, ci] = l1 * l2 * l3
-        dshp[:, ci, 0] = d1 * l2 * l3
-        dshp[:, ci, 1] = l1 * d2 * l3
-        dshp[:, ci, 2] = l1 * l2 * d3
-    out = {"xi": xi, "wq": wq, "shape": shp, "dshape": dshp}
-    _ASSEMBLY_CACHE[quadrature] = out
+    idx = np.indices((t.size,) * dim).reshape(dim, -1).T
+    xi = t[idx]
+    wq = np.prod(w[idx], axis=1)
+    corners = (np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    lin = np.where(corners[None], xi[:, None, :], 1.0 - xi[:, None, :])
+    slope = np.where(corners, 1.0, -1.0)
+    shape = lin.prod(axis=2)
+    dshape = np.stack([slope[None, :, a] * np.delete(lin, a, axis=2).prod(axis=2)
+                       for a in range(dim)], axis=2)
+    out = (xi, wq, corners, shape, dshape)
+    for arr in out:
+        arr.setflags(write=False)
     return out
+
+
+def _quad_coords(counts, origin, spacings, quadrature):
+    """Per-axis coordinates of every quadrature point, each counts + (nq,)."""
+    xi = _tensor_rule(quadrature, len(counts))[0]
+    return tuple(o + (c[..., None] + xi[:, a]) * h for a, (o, h, c) in
+                 enumerate(zip(origin, spacings, np.indices(tuple(counts)))))
+
+
+def _quad_weights(counts, spacings, quadrature):
+    w = _tensor_rule(quadrature, len(counts))[1] * float(np.prod(spacings))
+    return np.broadcast_to(w, tuple(counts) + (w.size,)).copy()
+
+
+def _axis_dofs(n: int, rule: str):
+    """Dof index of each of the n+1 nodes along one axis (-1: none), and the count."""
+    nodes = np.arange(n + 1)
+    if rule == PINNED:
+        return np.where((nodes > 0) & (nodes < n), nodes - 1, -1), max(n - 1, 0)
+    if rule == PERIODIC:
+        return nodes % n, n
+    return nodes, n + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _node_layout(counts: tuple, axes: tuple):
+    """Dof of every grid node in C order (-1: none), and each dof's first node.
+
+    Dofs are numbered in C order over the dof-carrying nodes, so the
+    first node of a dof is its representative in ``pack`` order.
+    """
+    nodes = np.indices(tuple(n + 1 for n in counts)).reshape(len(counts), -1)
+    dof = np.zeros(nodes.shape[1], dtype=np.int64)
+    for n, rule, idx in zip(counts, axes, nodes):
+        amap, size = _axis_dofs(n, rule)
+        dof = np.where((dof >= 0) & (amap[idx] >= 0), dof * size + amap[idx], -1)
+    valid = np.flatnonzero(dof >= 0)
+    first = valid[np.unique(dof[valid], return_index=True)[1]]
+    dof.setflags(write=False)
+    first.setflags(write=False)
+    return dof, first
+
+
+def grid_operator(counts, spacings, quadrature, axes, derivative=True):
+    """Sparse map from the dofs of a structured grid to its quadrature points.
+
+    ``counts`` cells per axis (2 or 3 axes), ``axes`` one dof rule per
+    axis (``PINNED``, ``PERIODIC`` or ``OPEN``).  Columns are dof * 3 +
+    component, the ``pack`` order of the matching boundary mode.  Rows
+    run over cells (C order), quadrature points and components, and with
+    ``derivative`` also over the directions, so a product reshapes to
+    (..., 3, dim) gradients or (..., 3) values.  Prescribed nodes
+    contribute nothing; periodic twins share a column.
+    """
+    dim = len(counts)
+    _, _, corners, shape, dshape = _tensor_rule(quadrature, dim)
+    nq, nc = shape.shape
+    coef = dshape / np.asarray(spacings) if derivative else shape[:, :, None]
+    ndir = coef.shape[2]
+    dof, first = _node_layout(tuple(counts), tuple(axes))
+    cells = np.indices(counts).reshape(dim, -1)
+    corner_nodes = cells[:, :, None] + corners.T[:, None, :]
+    cdof = dof[np.ravel_multi_index(corner_nodes, tuple(n + 1 for n in counts))]
+    ncell = cells.shape[1]
+    cell, q, _, d, a = np.ogrid[:ncell, :nq, :1, :3, :ndir]
+    full = (ncell, nq, nc, 3, ndir)
+    rows = np.broadcast_to(((cell * nq + q) * 3 + d) * ndir + a, full)
+    cols = np.broadcast_to(cdof[:, None, :, None, None] * 3 + d, full)
+    vals = np.broadcast_to(coef[None, :, :, None, :], full)
+    keep = cols >= 0
+    B = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(ncell * nq * 3 * ndir, 3 * first.size))
+    B.sum_duplicates()
+    return B
+
+
+class KinematicOperator:
+    """Sparse map B from a dof vector to unscaled quadrature-point gradients.
+
+    A constrained operator first applies the transverse-average
+    projector x -> x - R (T x): T is the in-plane mean of the top/bottom
+    trace difference per component over the n1 x n2 periodic cells, R
+    the ramp 0.5 x3 per component, and T R = I in the laterally
+    periodic mode.  It has rank three and stays in dof space: folded
+    into B it would fill n1 n2 columns of every transverse row.
+    """
+
+    def __init__(self, B, ramp=None, trace=None):
+        self.B = B
+        self.Bt = B.T.tocsr()
+        self.ramp = ramp
+        self.trace = trace
+        self.ndof = B.shape[1]
+
+    def project(self, x):
+        if self.ramp is None:
+            return x
+        return x - self.ramp @ (self.trace @ x)
+
+    def apply(self, x):
+        return self.B @ self.project(x)
+
+    def adjoint(self, s):
+        g = self.Bt @ s
+        if self.ramp is not None:
+            g -= self.trace.T @ (self.ramp.T @ g)
+        return g
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_operator(counts, spacings, quadrature, axes, constrained):
+    B = grid_operator(counts, spacings, quadrature, axes)
+    if not constrained:
+        return KinematicOperator(B)
+    n1, n2, n3 = counts
+    dof, first = _node_layout(counts, axes)
+    tw = np.zeros((n1 + 1, n2 + 1, n3 + 1))
+    tw[:n1, :n2, n3] = 1.0 / (n1 * n2)
+    tw[:n1, :n2, 0] = -1.0 / (n1 * n2)
+    valid = dof >= 0
+    t = np.bincount(dof[valid], weights=tw.ravel()[valid], minlength=first.size)
+    r = 0.5 * (-1.0 + (2.0 / n3) * (first % (n3 + 1)))
+    eye = np.eye(3)
+    return KinematicOperator(B, np.kron(r[:, None], eye), np.kron(t[None, :], eye))
+
+
+def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
+    """Cached gradient operator of a mesh geometry under a dof rule.
+
+    ``mesh`` is a ``CellMesh`` or a 2D sheet; ``axes`` defaults to the
+    rule of the mesh's boundary mode, ``(OPEN,) * dim`` gives raw nodal
+    values.  ``constrained`` adds the transverse-average projector (3D).
+    A small bounded cache keeps one operator per (cell counts, spacings,
+    quadrature, axes, constraint), so solves on one geometry share it:
+    every L of a scan, every start, every thickness row.
+    """
+    if axes is None:
+        axes = _MODE_AXES[mesh.boundary_mode]
+    return _cached_operator(tuple(mesh.counts), tuple(mesh.spacings),
+                            mesh.quadrature, tuple(axes), bool(constrained))
 
 
 @dataclass(frozen=True)
@@ -133,13 +280,12 @@ class CellMesh:
     # -- geometry -----------------------------------------------------------
 
     @property
-    def spacings(self):
-        return (self.lengths[0] / self.n1, self.lengths[1] / self.n2, 2.0 / self.n3)
+    def counts(self):
+        return (self.n1, self.n2, self.n3)
 
     @property
-    def cell_volume(self):
-        h1, h2, h3 = self.spacings
-        return h1 * h2 * h3
+    def spacings(self):
+        return (self.lengths[0] / self.n1, self.lengths[1] / self.n2, 2.0 / self.n3)
 
     @property
     def volume(self):
@@ -163,25 +309,12 @@ class CellMesh:
 
     def quad_coords(self):
         """Coordinates of all quadrature points, each of shape (n1,n2,n3,nq)."""
-        asm = _assembly(self.quadrature)
-        xi = asm["xi"]
-        h1, h2, h3 = self.spacings
-        i = np.arange(self.n1)[:, None, None, None]
-        j = np.arange(self.n2)[None, :, None, None]
-        k = np.arange(self.n3)[None, None, :, None]
-        q1 = self.origin[0] + (i + xi[None, None, None, :, 0]) * h1
-        q2 = self.origin[1] + (j + xi[None, None, None, :, 1]) * h2
-        q3 = -1.0 + (k + xi[None, None, None, :, 2]) * h3
-        shape = (self.n1, self.n2, self.n3, xi.shape[0])
-        return (np.broadcast_to(q1, shape).copy(),
-                np.broadcast_to(q2, shape).copy(),
-                np.broadcast_to(q3, shape).copy())
+        return _quad_coords(self.counts, self.origin + (-1.0,), self.spacings,
+                            self.quadrature)
 
     def quad_weights(self):
         """Physical weight of every quadrature point; sums to the slab volume."""
-        asm = _assembly(self.quadrature)
-        w = asm["wq"] * self.cell_volume
-        return np.broadcast_to(w, (self.n1, self.n2, self.n3, w.size)).copy()
+        return _quad_weights(self.counts, self.spacings, self.quadrature)
 
 
 @dataclass
@@ -249,36 +382,27 @@ def affine_values(mesh: CellMesh, fbar, z=None):
 # Gradients and integrals
 # ---------------------------------------------------------------------------
 
-def _gather_corners(values, mesh):
-    """Corner values per cell, shape (n1, n2, n3, 8, 3)."""
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    out = np.empty((n1, n2, n3, 8, 3))
-    for c, (ci, cj, ck) in enumerate(_CORNERS):
-        out[:, :, :, c, :] = values[ci:ci + n1, cj:cj + n2, ck:ck + n3, :]
-    return out
-
-
 def scaled_gradient(field: DiscreteField, transverse_scale: float = 1.0):
     """Scaled gradients at quadrature points, shape (n1, n2, n3, nq, 3, 3).
 
     Entry [..., d, a] is the derivative of component d along direction a,
     with the transverse direction a = 2 multiplied by ``transverse_scale``.
     """
-    return _scaled_gradient_arrays(field.values, field.mesh, transverse_scale)
-
-
-def _scaled_gradient_arrays(values, mesh, transverse_scale):
-    asm = _assembly(mesh.quadrature)
-    h = mesh.spacings
-    dshape = asm["dshape"] / np.asarray(h)[None, None, :]
-    corners = _gather_corners(values, mesh)
-    G = np.einsum("ijkcd,qca->ijkqda", corners, dshape, optimize=True)
+    mesh = field.mesh
+    op = kinematic_operator(mesh, (OPEN, OPEN, OPEN))
+    G = (op.B @ field.values.ravel()).reshape(mesh.counts + (-1, 3, 3))
     G[..., 2] *= transverse_scale
     return G
 
 
 class EnergyContext:
-    """Precomputed assembly data for repeated energy/gradient evaluation.
+    """Precomputed data for repeated energy/gradient evaluation.
+
+    Evaluations take the solver's free-dof vector (1-D, ``pack`` order)
+    or raw nodal values (full nodal shape) and return the gradient in
+    the same form, both through a cached ``KinematicOperator``.  For
+    free dofs, ``constrained`` applies the transverse-average projector
+    and ``datum`` supplies the pinned ``lateral-affine`` boundary values.
 
     Freezing the in-plane heterogeneity coordinate (``x_mode='frozen'``)
     evaluates the modulation at ``x0.x_alpha`` for every quadrature point
@@ -293,7 +417,8 @@ class EnergyContext:
     def __init__(self, W: StoredEnergyDensity, mesh: CellMesh,
                  transverse_scale=1.0, prefactor=1.0, x_mode="full",
                  x0: MaterialPoint | None = None,
-                 inplane_offset=None, transverse_offset=None):
+                 inplane_offset=None, transverse_offset=None,
+                 constrained=False, datum=None):
         if x_mode not in ("full", "frozen", "point"):
             raise ValueError("x_mode must be 'full', 'frozen' or 'point'")
         if x_mode in ("frozen", "point") and x0 is None:
@@ -302,16 +427,16 @@ class EnergyContext:
         self.mesh = mesh
         self.transverse_scale = float(transverse_scale)
         self.prefactor = float(prefactor)
-        asm = _assembly(mesh.quadrature)
-        h = mesh.spacings
-        self._dshape = asm["dshape"] / np.asarray(h)[None, None, :]
-        self._wq = asm["wq"] * mesh.cell_volume
+        self.operator = kinematic_operator(mesh, constrained=constrained)
+        self._wq = mesh.quad_weights().ravel()
+        self._stress_weights = self.prefactor * self._wq
+        self._column_scale = np.array([1.0, 1.0, self.transverse_scale])
         q1, q2, q3 = mesh.quad_coords()
         if x_mode == "point":
             # Both coordinates frozen: the heterogeneity is sampled once.
             xa = np.asarray(x0.x_alpha, dtype=float)
             const = float(W.modulation_values(xa, np.asarray(x0.x3)))
-            self.modv = np.full(q3.shape, const)
+            self.modv = np.full(q3.size, const)
         else:
             if x_mode == "frozen":
                 xa = np.empty(q3.shape + (2,))
@@ -319,53 +444,73 @@ class EnergyContext:
                 xa[..., 1] = x0.x_alpha[1]
             else:
                 xa = np.stack([q1, q2], axis=-1)
-            self.modv = W.modulation_values(xa, q3)
+            self.modv = np.asarray(W.modulation_values(xa, q3), dtype=float).ravel()
         self.inplane_offset = (None if inplane_offset is None
                                else np.asarray(inplane_offset, dtype=float).reshape(3, 2))
         self.transverse_offset = (None if transverse_offset is None
                                   else np.asarray(transverse_offset, dtype=float).reshape(3))
+        self._datum_grad = None
+        if datum is not None:
+            pinned = unpack(np.zeros(free_size(mesh)), mesh, datum)
+            self._datum_grad = self._nodal_operator.B @ pinned.ravel()
+
+    @functools.cached_property
+    def _nodal_operator(self):
+        return kinematic_operator(self.mesh, (OPEN, OPEN, OPEN))
 
     def _gradients(self, values):
-        corners = _gather_corners(values, self.mesh)
-        G = np.einsum("ijkcd,qca->ijkqda", corners, self._dshape, optimize=True)
-        G[..., 2] *= self.transverse_scale
-        if self.inplane_offset is not None:
-            G[..., :2] += self.inplane_offset
-        if self.transverse_offset is not None:
-            G[..., 2] += self.transverse_offset
-        return G
+        """Operator used and G at every quadrature point for an argument."""
+        x = np.asarray(values, dtype=float)
+        if x.ndim == 1:
+            op = self.operator
+            G = op.apply(x)
+            if self._datum_grad is not None:
+                G += self._datum_grad
+        else:
+            op = self._nodal_operator
+            G = op.apply(x.ravel())
+        G = G.reshape(-1, 3, 3)
+        G *= self._column_scale
+        if self.inplane_offset is not None or self.transverse_offset is not None:
+            offset = np.zeros((3, 3))
+            if self.inplane_offset is not None:
+                offset[:, :2] = self.inplane_offset
+            if self.transverse_offset is not None:
+                offset[:, 2] = self.transverse_offset
+            G += offset
+        return op, G
+
+    def gradients(self, values):
+        """Scaled gradients plus offsets at every quadrature point, (nqp, 3, 3).
+
+        Quadrature points run in C order over (cell i, j, k, point q).
+        """
+        return self._gradients(values)[1]
 
     def value(self, values) -> float:
-        G = self._gradients(values)
-        e = self.W.energy_array(self.modv, G)
-        return self.prefactor * float(np.einsum("ijkq,q->", e, self._wq))
+        e = self.W.energy_array(self.modv, self.gradients(values))
+        return self.prefactor * float(e @ self._wq)
 
     def value_and_grad(self, values, offset_grads=False):
-        """Energy and its exact gradient w.r.t. raw nodal values (full shape).
+        """Energy and its exact gradient w.r.t. the argument's dofs.
 
-        With ``offset_grads=True`` additionally returns the derivatives of
-        the energy w.r.t. the constant in-plane offset (3x2 array) and the
-        constant transverse offset (3-vector); these drive outer descents
-        over the offsets (joint transverse-vector minimization, density
-        sources for the limit functional).
+        With ``offset_grads=True`` additionally returns the
+        derivatives of the energy w.r.t. the constant in-plane offset (3x2
+        array) and the constant transverse offset (3-vector); these drive
+        outer descents over the offsets (joint transverse-vector
+        minimization, density sources for the limit functional).
         """
-        G = self._gradients(values)
+        op, G = self._gradients(values)
         e = self.W.energy_array(self.modv, G)
-        val = self.prefactor * float(np.einsum("ijkq,q->", e, self._wq))
+        val = self.prefactor * float(e @ self._wq)
         S = self.W.stress_array(self.modv, G)
-        S *= (self.prefactor * self._wq)[None, None, None, :, None, None]
-        d_off = None
+        S *= self._stress_weights[:, None, None]
         if offset_grads:
-            total = np.einsum("ijkqda->da", S)
-            d_off = (total[:, :2].copy(), total[:, 2].copy())
-        S[..., 2] *= self.transverse_scale
-        T = np.einsum("ijkqda,qca->ijkcd", S, self._dshape, optimize=True)
-        grad = np.zeros(self.mesh.node_shape + (3,))
-        n1, n2, n3 = self.mesh.n1, self.mesh.n2, self.mesh.n3
-        for c, (ci, cj, ck) in enumerate(_CORNERS):
-            grad[ci:ci + n1, cj:cj + n2, ck:ck + n3, :] += T[:, :, :, c, :]
+            total = S.sum(axis=0)
+        S *= self._column_scale
+        grad = op.adjoint(S.ravel()).reshape(np.shape(values))
         if offset_grads:
-            return val, grad, d_off[0], d_off[1]
+            return val, grad, total[:, :2].copy(), total[:, 2].copy()
         return val, grad
 
 
@@ -397,23 +542,17 @@ def energy_gradient(W, field: DiscreteField, transverse_scale=1.0, prefactor=1.0
 # Boundary modes: packing free dofs and reducing gradients
 # ---------------------------------------------------------------------------
 
+def _layout(mesh: CellMesh):
+    return _node_layout(mesh.counts, _MODE_AXES[mesh.boundary_mode])
+
+
 def free_size(mesh: CellMesh) -> int:
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    if mesh.boundary_mode in (LATERAL_ZERO, LATERAL_AFFINE):
-        return max(n1 - 1, 0) * max(n2 - 1, 0) * (n3 + 1) * 3
-    if mesh.boundary_mode == LATERAL_PERIODIC:
-        return n1 * n2 * (n3 + 1) * 3
-    return n1 * n2 * n3 * 3
+    return 3 * _layout(mesh)[1].size
 
 
 def pack(values, mesh: CellMesh):
     """Extract the free degrees of freedom as a flat vector."""
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    if mesh.boundary_mode in (LATERAL_ZERO, LATERAL_AFFINE):
-        return values[1:n1, 1:n2, :, :].ravel().copy()
-    if mesh.boundary_mode == LATERAL_PERIODIC:
-        return values[:n1, :n2, :, :].ravel().copy()
-    return values[:n1, :n2, :n3, :].ravel().copy()
+    return np.asarray(values).reshape(-1, 3)[_layout(mesh)[1]].ravel()
 
 
 def unpack(vec, mesh: CellMesh, datum=None):
@@ -422,26 +561,15 @@ def unpack(vec, mesh: CellMesh, datum=None):
     ``datum`` supplies the pinned boundary values in ``lateral-affine``
     mode (full nodal array); other modes ignore it.
     """
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    if mesh.boundary_mode in (LATERAL_ZERO, LATERAL_AFFINE):
-        if mesh.boundary_mode == LATERAL_AFFINE:
-            if datum is None:
-                raise ValueError("lateral-affine mode needs a boundary datum")
-            values = datum.copy()
-        else:
-            values = np.zeros(mesh.node_shape + (3,))
-        values[1:n1, 1:n2, :, :] = vec.reshape(n1 - 1, n2 - 1, n3 + 1, 3)
-        return values
-    values = np.zeros(mesh.node_shape + (3,))
-    if mesh.boundary_mode == LATERAL_PERIODIC:
-        values[:n1, :n2, :, :] = vec.reshape(n1, n2, n3 + 1, 3)
-        values[n1, :, :, :] = values[0, :, :, :]
-        values[:, n2, :, :] = values[:, 0, :, :]
-        return values
-    values[:n1, :n2, :n3, :] = vec.reshape(n1, n2, n3, 3)
-    values[n1, :, :, :] = values[0, :, :, :]
-    values[:, n2, :, :] = values[:, 0, :, :]
-    values[:, :, n3, :] = values[:, :, 0, :]
+    if mesh.boundary_mode == LATERAL_AFFINE:
+        if datum is None:
+            raise ValueError("lateral-affine mode needs a boundary datum")
+        values = np.array(datum, dtype=float, order="C")
+    else:
+        values = np.zeros(mesh.node_shape + (3,))
+    dof = _layout(mesh)[0]
+    free = dof >= 0
+    values.reshape(-1, 3)[free] = np.asarray(vec).reshape(-1, 3)[dof[free]]
     return values
 
 
@@ -452,26 +580,17 @@ def reduce_gradient(grad, mesh: CellMesh):
     zeroed.  The result has full nodal shape and satisfies
     ``pack(reduce_gradient(g)) == d(energy)/d(packed dofs)``.
     """
-    g = grad.copy()
-    n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-    if mesh.boundary_mode in (LATERAL_ZERO, LATERAL_AFFINE):
-        g[0, :, :, :] = 0.0
-        g[n1, :, :, :] = 0.0
-        g[:, 0, :, :] = 0.0
-        g[:, n2, :, :] = 0.0
-        return g
-    g[0, :, :, :] += g[n1, :, :, :]
-    g[n1, :, :, :] = 0.0
-    g[:, 0, :, :] += g[:, n2, :, :]
-    g[:, n2, :, :] = 0.0
-    if mesh.boundary_mode == FULLY_PERIODIC:
-        g[:, :, 0, :] += g[:, :, n3, :]
-        g[:, :, n3, :] = 0.0
-    return g
+    dof, first = _layout(mesh)
+    free = dof >= 0
+    folded = np.zeros((first.size, 3))
+    np.add.at(folded, dof[free], np.asarray(grad).reshape(-1, 3)[free])
+    out = np.zeros(mesh.node_shape + (3,))
+    out.reshape(-1, 3)[first] = folded
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Transverse average, refinement, serialization
+# Transverse average and refinement
 # ---------------------------------------------------------------------------
 
 def transverse_average(field: DiscreteField, scale: float):
@@ -534,37 +653,3 @@ def inject(field: DiscreteField, fine_mesh: CellMesh | None = None) -> DiscreteF
     return DiscreteField(fine, u,
                          None if field.constraint_meta is None
                          else dict(field.constraint_meta))
-
-
-def dump_grid_text(field: DiscreteField, path):
-    """Write nodal values as text lines ``i j k u1 u2 u3``.
-
-    A commented header records the mesh so external tools can rebuild the
-    structured grid.
-    """
-    mesh = field.mesh
-    with open(path, "w") as fh:
-        fh.write("# filmcell structured grid field v1\n")
-        fh.write(f"# cells {mesh.n1} {mesh.n2} {mesh.n3}\n")
-        fh.write(f"# origin {mesh.origin[0]!r} {mesh.origin[1]!r}\n")
-        fh.write(f"# lengths {mesh.lengths[0]!r} {mesh.lengths[1]!r}\n")
-        fh.write("# columns i j k u1 u2 u3\n")
-        for i in range(mesh.n1 + 1):
-            for j in range(mesh.n2 + 1):
-                for k in range(mesh.n3 + 1):
-                    u = field.values[i, j, k]
-                    fh.write(f"{i} {j} {k} {float(u[0])!r} "
-                             f"{float(u[1])!r} {float(u[2])!r}\n")
-
-
-def read_grid_text(path, mesh: CellMesh) -> DiscreteField:
-    """Inverse of ``dump_grid_text`` for a known mesh."""
-    values = np.zeros(mesh.node_shape + (3,))
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split()
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            values[i, j, k] = [float(parts[3]), float(parts[4]), float(parts[5])]
-    return DiscreteField(mesh, values)

@@ -4,8 +4,12 @@ The workhorse is a limited-memory quasi-Newton loop (two-loop recursion)
 with a backtracking Armijo line search.  Termination follows a single
 contract used throughout the package: stop once the gradient norm falls
 below ``grad_tol * (1 + |value|)`` or after ``max_iter`` iterations.
-Every step strictly decreases the objective, which the refinement
-monotonicity tests rely on.
+Accepted steps never increase the objective, which the refinement
+monotonicity tests rely on.  The decrease is not strict: once
+``armijo_c * step * slope`` falls below half an ulp of the value, the
+Armijo test accepts a step with an unchanged value, so a descent whose
+gradient cannot reach the threshold at working precision keeps taking
+such steps until ``max_iter``.
 
 All routines are deterministic: no randomness, fixed evaluation order.
 """

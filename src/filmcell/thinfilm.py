@@ -40,9 +40,9 @@ from .integrand import (
     MaterialPoint, StoredEnergyDensity, modulation_in_plane_constant,
 )
 from .field import (
-    CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE,
-    affine_values, pack, unpack, reduce_gradient, transverse_average,
-    _assembly, _reference_rule,
+    CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE, OPEN, PINNED,
+    affine_values, grid_operator, kinematic_operator, pack,
+    reduce_gradient, transverse_average, unpack, _quad_coords, _quad_weights,
 )
 from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize
 from .cell import CellProblemSpec, InnerConfig, cosserat_density
@@ -54,43 +54,11 @@ __all__ = [
     "limit_membrane_energy", "minimize_limit", "convergence_study",
 ]
 
-# 2D corner c <-> bit pair (ci, cj)
-_CORNERS2 = [(c >> 1 & 1, c & 1) for c in range(4)]
-
-_ASSEMBLY2_CACHE: dict = {}
-
-
-def _assembly2(quadrature="gauss2"):
-    """Bilinear shape values/derivatives at 2D quadrature points (cached)."""
-    if quadrature in _ASSEMBLY2_CACHE:
-        return _ASSEMBLY2_CACHE[quadrature]
-    t, w = _reference_rule(quadrature)
-    npt = t.size
-    nq = npt ** 2
-    xi = np.empty((nq, 2))
-    wq = np.empty(nq)
-    q = 0
-    for a in range(npt):
-        for b in range(npt):
-            xi[q] = (t[a], t[b])
-            wq[q] = w[a] * w[b]
-            q += 1
-    shp = np.empty((nq, 4))
-    dshp = np.empty((nq, 4, 2))
-    for c, (bi, bj) in enumerate(_CORNERS2):
-        l1 = np.where(bi, xi[:, 0], 1.0 - xi[:, 0])
-        l2 = np.where(bj, xi[:, 1], 1.0 - xi[:, 1])
-        shp[:, c] = l1 * l2
-        dshp[:, c, 0] = np.where(bi, 1.0, -1.0) * l2
-        dshp[:, c, 1] = l1 * np.where(bj, 1.0, -1.0)
-    out = {"xi": xi, "wq": wq, "shape": shp, "dshape": dshp}
-    _ASSEMBLY2_CACHE[quadrature] = out
-    return out
-
-
 @dataclass(frozen=True)
 class SheetMesh:
     """Structured bilinear mesh of the mid-surface rectangle omega."""
+
+    quadrature = "gauss2"
 
     n1: int
     n2: int
@@ -104,6 +72,10 @@ class SheetMesh:
             raise ValueError("in-plane lengths must be positive")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
+
+    @property
+    def counts(self):
+        return (self.n1, self.n2)
 
     @property
     def spacings(self):
@@ -124,22 +96,10 @@ class SheetMesh:
         return x1, x2
 
     def quad_coords(self):
-        asm = _assembly2()
-        xi = asm["xi"]
-        h1, h2 = self.spacings
-        i = np.arange(self.n1)[:, None, None]
-        j = np.arange(self.n2)[None, :, None]
-        q1 = self.origin[0] + (i + xi[None, None, :, 0]) * h1
-        q2 = self.origin[1] + (j + xi[None, None, :, 1]) * h2
-        shape = (self.n1, self.n2, xi.shape[0])
-        return (np.broadcast_to(q1, shape).copy(),
-                np.broadcast_to(q2, shape).copy())
+        return _quad_coords(self.counts, self.origin, self.spacings, self.quadrature)
 
     def quad_weights(self):
-        asm = _assembly2()
-        h1, h2 = self.spacings
-        w = asm["wq"] * h1 * h2
-        return np.broadcast_to(w, (self.n1, self.n2, w.size)).copy()
+        return _quad_weights(self.counts, self.spacings, self.quadrature)
 
 
 def sheet_affine_values(sheet: SheetMesh, fbar):
@@ -148,50 +108,6 @@ def sheet_affine_values(sheet: SheetMesh, fbar):
     x1, x2 = sheet.node_coords()
     return (fbar[:, 0][None, None, :] * x1[:, None, None]
             + fbar[:, 1][None, None, :] * x2[None, :, None])
-
-
-def _gather2(values, sheet):
-    n1, n2 = sheet.n1, sheet.n2
-    out = np.empty((n1, n2, 4, values.shape[-1]))
-    for c, (ci, cj) in enumerate(_CORNERS2):
-        out[:, :, c, :] = values[ci:ci + n1, cj:cj + n2, :]
-    return out
-
-
-def _values_at_quad2(values, sheet):
-    asm = _assembly2()
-    return np.einsum("ijcd,qc->ijqd", _gather2(values, sheet), asm["shape"])
-
-
-def _grads_at_quad2(values, sheet):
-    asm = _assembly2()
-    h = np.asarray(sheet.spacings)
-    dshape = asm["dshape"] / h[None, None, :]
-    return np.einsum("ijcd,qca->ijqda", _gather2(values, sheet), dshape)
-
-
-def _scatter2(contrib, sheet):
-    """Transpose of _values_at_quad2: (n1, n2, nq, d) -> nodal array."""
-    asm = _assembly2()
-    T = np.einsum("ijqd,qc->ijcd", contrib, asm["shape"])
-    out = np.zeros(sheet.node_shape + (contrib.shape[-1],))
-    n1, n2 = sheet.n1, sheet.n2
-    for c, (ci, cj) in enumerate(_CORNERS2):
-        out[ci:ci + n1, cj:cj + n2, :] += T[:, :, c, :]
-    return out
-
-
-def _scatter2_grad(contrib, sheet):
-    """Transpose of _grads_at_quad2: (n1, n2, nq, d, a) -> nodal array."""
-    asm = _assembly2()
-    h = np.asarray(sheet.spacings)
-    dshape = asm["dshape"] / h[None, None, :]
-    T = np.einsum("ijqda,qca->ijcd", contrib, dshape)
-    out = np.zeros(sheet.node_shape + (contrib.shape[-2],))
-    n1, n2 = sheet.n1, sheet.n2
-    for c, (ci, cj) in enumerate(_CORNERS2):
-        out[ci:ci + n1, cj:cj + n2, :] += T[:, :, c, :]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +202,25 @@ class ThinFilmProblem:
         return CellProblemSpec(fbar=np.zeros((3, 2)), inner=self.inner)
 
 
+def _nodal_work(mesh, density):
+    """Nodal vector l with l . u = sum of density . u over the quadrature points.
+
+    ``density`` is already weighted, shape mesh.counts + (nq, 3).
+    """
+    V = grid_operator(mesh.counts, mesh.spacings, mesh.quadrature,
+                      (OPEN,) * len(mesh.counts), derivative=False)
+    return (V.T @ density.ravel()).reshape(mesh.node_shape + (3,))
+
+
 def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
     """Nodal vector l with total load work l . u (zero where no loads)."""
     ell = np.zeros(mesh.node_shape + (3,))
     loads = problem.loads
     if loads.is_zero():
         return ell
-    asm = _assembly(mesh.quadrature)
     if loads.f is not None:
-        q1, q2, q3 = mesh.quad_coords()
-        fq = loads.f_at(q1, q2, q3)
-        wq = asm["wq"] * mesh.cell_volume
-        T = np.einsum("ijkqd,q,qc->ijkcd", fq, wq, asm["shape"])
-        n1, n2, n3 = mesh.n1, mesh.n2, mesh.n3
-        for c, (ci, cj, ck) in enumerate(
-                [(cc >> 2 & 1, cc >> 1 & 1, cc & 1) for cc in range(8)]):
-            ell[ci:ci + n1, cj:cj + n2, ck:ck + n3, :] += T[:, :, :, c, :]
+        fq = loads.f_at(*mesh.quad_coords())
+        ell += _nodal_work(mesh, fq * mesh.quad_weights()[..., None])
     sheet = SheetMesh(mesh.n1, mesh.n2, mesh.origin, mesh.lengths)
     q1, q2 = sheet.quad_coords()
     w2 = sheet.quad_weights()
@@ -309,7 +228,7 @@ def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
         surf = loads.g_at(side, q1, q2) + loads.g0_at(side, q1, q2) / eps
         if not np.any(surf):
             continue
-        ell[:, :, klayer, :] += _scatter2(surf * w2[..., None], sheet)
+        ell[:, :, klayer, :] += _nodal_work(sheet, surf * w2[..., None])
     return ell
 
 
@@ -345,14 +264,15 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
     mesh = problem.film_mesh()
     datum = problem.boundary_datum(mesh)
     ctx = EnergyContext(problem.W, mesh, transverse_scale=1.0 / eps,
-                        prefactor=1.0, x_mode="full")
+                        prefactor=1.0, x_mode="full", datum=datum)
     ell = _load_vector(problem, eps, mesh)
+    # Load work split into the free dofs and the pinned boundary datum.
+    ell_free = pack(reduce_gradient(ell, mesh), mesh)
+    ell_pinned = float(np.sum(ell * unpack(np.zeros(ell_free.size), mesh, datum)))
 
     def fun(vec):
-        full = unpack(vec, mesh, datum)
-        val, grad = ctx.value_and_grad(full)
-        val -= float(np.sum(ell * full))
-        return val, pack(reduce_gradient(grad - ell, mesh), mesh)
+        val, grad = ctx.value_and_grad(vec)
+        return val - float(ell_free @ vec) - ell_pinned, grad - ell_free
 
     starts = [("affine", pack(datum, mesh))]
     if not problem.W.is_convex:
@@ -504,28 +424,37 @@ def _limit_load_vectors(loads: LoadSystem, sheet: SheetMesh):
                        for x3, w in zip(t, wt))
     dens_v = 2.0 * fbar_q + loads.g_at(+1, q1, q2) + loads.g_at(-1, q1, q2)
     dens_b = 2.0 * loads.g0_at(+1, q1, q2)
-    ell_v = _scatter2(dens_v * w2[..., None], sheet)
+    ell_v = _nodal_work(sheet, dens_v * w2[..., None])
     ell_b = np.einsum("ijqd,ijq->ijd", dens_b, w2)
     return ell_v, ell_b
 
 
-def _limit_density_terms(source, sheet, v_values, b_values, with_grads=False):
+def _limit_density_terms(source, sheet, F, b_values, with_grads=False):
+    """2 Int Q(x; F | bbar) by quadrature, and its derivatives.
+
+    ``F`` holds the membrane gradients at every quadrature point, shape
+    (n1 * n2 * nq, 3, 2) in C order over (cell i, j, point q); the source
+    is called once per point in that order.  Returns the total, the
+    weighted derivatives w.r.t. F (same shape) and w.r.t. the per-cell
+    bbar, shape (n1, n2, 3).
+    """
     q1, q2 = sheet.quad_coords()
-    w2 = sheet.quad_weights()
-    F = _grads_at_quad2(v_values, sheet)
-    n1, n2, nq = w2.shape
-    total = 0.0
-    dF = np.zeros((n1, n2, nq, 3, 2)) if with_grads else None
-    dB = np.zeros((n1, n2, 3)) if with_grads else None
-    for i in range(n1):
-        for j in range(n2):
-            for q in range(nq):
-                val, gF, gz = source.evaluate((q1[i, j, q], q2[i, j, q]),
-                                              F[i, j, q], b_values[i, j])
-                total += 2.0 * w2[i, j, q] * val
-                if with_grads:
-                    dF[i, j, q] = 2.0 * w2[i, j, q] * gF
-                    dB[i, j] += 2.0 * w2[i, j, q] * gz
+    w = 2.0 * sheet.quad_weights().ravel()
+    nq = w.size // (sheet.n1 * sheet.n2)
+    b = np.repeat(np.asarray(b_values).reshape(-1, 3), nq, axis=0)
+    vals = np.empty(w.size)
+    dF = np.empty(F.shape) if with_grads else None
+    dz = np.empty(b.shape) if with_grads else None
+    for p, (x1, x2) in enumerate(zip(q1.ravel(), q2.ravel())):
+        vals[p], gF, gz = source.evaluate((x1, x2), F[p], b[p])
+        if with_grads:
+            dF[p] = gF
+            dz[p] = gz
+    total = float(vals @ w)
+    if not with_grads:
+        return total, None, None
+    dF *= w[:, None, None]
+    dB = (dz * w[:, None]).reshape(sheet.n1, sheet.n2, nq, 3).sum(axis=2)
     return total, dF, dB
 
 
@@ -550,9 +479,45 @@ def limit_membrane_energy(source, sheet: SheetMesh, loads: LoadSystem,
     v_values = np.asarray(v_values, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
     loads.check_compatibility(sheet)
-    total, _, _ = _limit_density_terms(source, sheet, v_values, b_values)
+    F = kinematic_operator(sheet, (OPEN, OPEN)).apply(v_values.ravel())
+    total, _, _ = _limit_density_terms(source, sheet, F.reshape(-1, 3, 2), b_values)
     ell_v, ell_b = _limit_load_vectors(loads, sheet)
     return total - float(np.sum(ell_v * v_values)) - float(np.sum(ell_b * b_values))
+
+
+def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
+    """Objective of the limit descent over (interior v, per-cell bbar).
+
+    Returns (fun, x0, split): ``fun(vec) -> (J, dJ/dvec)``, the start
+    (affine datum, zero bbar), and ``split(vec) -> (v nodal, bbar)``.
+    """
+    datum = sheet_affine_values(sheet, fbar_bc)
+    ell_v, ell_b = _limit_load_vectors(loads, sheet)
+    n1, n2 = sheet.n1, sheet.n2
+    op = kinematic_operator(sheet, (PINNED, PINNED))
+    nv = op.ndof
+    pinned = datum.copy()
+    pinned[1:n1, 1:n2, :] = 0.0
+    datum_grad = kinematic_operator(sheet, (OPEN, OPEN)).apply(pinned.ravel())
+    ell_free = ell_v[1:n1, 1:n2, :].ravel()
+    ell_pinned = float(np.sum(ell_v * pinned))
+
+    def split(vec):
+        v = pinned.copy()
+        v[1:n1, 1:n2, :] = vec[:nv].reshape(n1 - 1, n2 - 1, 3)
+        return v, vec[nv:].reshape(n1, n2, 3)
+
+    def fun(vec):
+        xv, b = vec[:nv], vec[nv:].reshape(n1, n2, 3)
+        F = (op.apply(xv) + datum_grad).reshape(-1, 3, 2)
+        total, dF, dB = _limit_density_terms(source, sheet, F, b, with_grads=True)
+        val = (total - float(ell_free @ xv) - ell_pinned
+               - float(np.sum(ell_b * b)))
+        return val, np.concatenate([op.adjoint(dF.ravel()) - ell_free,
+                                    (dB - ell_b).ravel()])
+
+    x0 = np.concatenate([datum[1:n1, 1:n2, :].ravel(), np.zeros(n1 * n2 * 3)])
+    return fun, x0, split
 
 
 def minimize_limit(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc,
@@ -566,31 +531,9 @@ def minimize_limit(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc,
     cfg = config or InnerConfig(grad_tol=1e-10)
     fbar_bc = np.asarray(fbar_bc, dtype=float).reshape(3, 2)
     loads.check_compatibility(sheet)
-    datum = sheet_affine_values(sheet, fbar_bc)
-    ell_v, ell_b = _limit_load_vectors(loads, sheet)
-    n1, n2 = sheet.n1, sheet.n2
-    nv = max(n1 - 1, 0) * max(n2 - 1, 0) * 3
-
-    def unpack2(vec):
-        v = datum.copy()
-        if nv:
-            v[1:n1, 1:n2, :] = vec[:nv].reshape(n1 - 1, n2 - 1, 3)
-        b = vec[nv:].reshape(n1, n2, 3)
-        return v, b
-
-    def fun(vec):
-        v, b = unpack2(vec)
-        total, dF, dB = _limit_density_terms(source, sheet, v, b, with_grads=True)
-        val = total - float(np.sum(ell_v * v)) - float(np.sum(ell_b * b))
-        gv = _scatter2_grad(dF, sheet) - ell_v
-        gb = dB - ell_b
-        inner = gv[1:n1, 1:n2, :].ravel() if nv else np.zeros(0)
-        return val, np.concatenate([inner, gb.ravel()])
-
-    x0 = np.concatenate([datum[1:n1, 1:n2, :].ravel() if nv else np.zeros(0),
-                         np.zeros((n1, n2, 3)).ravel()])
+    fun, x0, split = _limit_objective(source, sheet, loads, fbar_bc)
     res = minimize_lbfgs(fun, x0, cfg.solver())
-    v, b = unpack2(res.x)
+    v, b = split(res.x)
     info = {"iterations": res.iterations, "grad_norm": res.grad_norm,
             "status": res.status}
     return res.value, v, b, info

@@ -12,7 +12,8 @@ from filmcell.cell import (CellProblemSpec, CellSolveError, InnerConfig,
                            membrane_density_periodic, minimize_over_z,
                            quasiconvexify, refinement_ladder)
 from filmcell.field import CellMesh, transverse_average
-from filmcell.integrand import (MaterialPoint, PlanarCheckerboard,
+from filmcell.integrand import (FiberInfimumError, MaterialPoint,
+                                PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
                                 density_from_config, pnorm_density,
                                 two_well_density)
@@ -113,6 +114,18 @@ def test_minimize_over_z_picks_the_fiber_vector():
     assert np.max(np.abs(b0 - A[:, 2])) < 1e-6
     want = float(np.sum((fbar - A[:, :2]) ** 2))
     assert rel_err(sol.value, want) < 1e-8
+
+
+def test_minimize_over_z_records_a_skipped_fiber_start(monkeypatch):
+    W = pnorm_density(2.0)
+
+    def no_fiber(x, fbar, solver=None):
+        raise FiberInfimumError("forced failure")
+    monkeypatch.setattr(W, "fiber_infimum", no_fiber)
+    sol, b0 = minimize_over_z(W, spec_at(FB))
+    assert "fiber-start-skipped" in sol.warnings
+    assert rel_err(sol.value, quadratic_membrane(FB)) < 1e-8
+    assert np.linalg.norm(b0) < 1e-6
 
 
 def test_cosserat_above_minimum_over_z():

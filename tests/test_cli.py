@@ -150,6 +150,37 @@ def test_cmd_gamma_cell_source(tmp_path):
     assert len(csv_lines) == 3
 
 
+def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
+    import filmcell.cli as cli
+    from dataclasses import replace
+
+    real = cli.build_problem
+
+    def capped(resolved):
+        problem = real(resolved)
+        problem.limit_inner = replace(problem.limit_inner, max_iter=1)
+        return problem
+    monkeypatch.setattr(cli, "build_problem", capped)
+    cfg = {
+        "integrand": {"family": "pnorm", "params": {"p": 2.0}},
+        "cell": {"mesh": {"n1": 2, "n2": 2, "n3": 2}},
+        "gamma": {
+            "omega": {"n1": 3, "n2": 3},
+            "n3": 2,
+            "fbar_bc": [[0.3, 0.0], [0.0, 0.0], [0.0, 0.1]],
+            "epsilons": [1.0],
+            "loads": {"g0_top": [0.0, 0.0, 0.4], "g0_bottom": [0.0, 0.0, -0.4],
+                      "f": ["0.1*x1", "0", "0"]},
+        },
+    }
+    code, report = cmd_gamma(cfg)
+    body = report["body"]
+    assert body["study"]["limit_info"]["status"] == "max_iter"
+    assert body["ok"] is True
+    assert "not-converged" in body["warnings"]
+    assert code == 2
+
+
 def test_cmd_tabulate_then_gamma_table_source(tmp_path):
     base_integrand = {"family": "pnorm", "params": {"p": 2.0}}
     tab_cfg = {
@@ -191,7 +222,13 @@ def test_cmd_tabulate_then_gamma_table_source(tmp_path):
         },
     }
     code, report = cmd_gamma(gamma_cfg)
-    assert code == 0
+    # The multilinear table density has kinks at which the limit gradient
+    # cannot vanish, so the limit descent runs to max_iter: the study
+    # stays ok, but the report flags it and the exit code is 2.
+    assert report["body"]["study"]["limit_info"]["status"] == "max_iter"
+    assert report["body"]["ok"] is True
+    assert "not-converged" in report["body"]["warnings"]
+    assert code == 2
     assert report["body"]["source"] == "table"
     assert all(abs(g) < 0.05 for g in report["body"]["gaps"])
 

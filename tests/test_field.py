@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filmcell.field import (FULLY_PERIODIC, LATERAL_AFFINE, LATERAL_PERIODIC,
-                            LATERAL_ZERO, CellMesh, DiscreteField,
+                            LATERAL_ZERO, OPEN, CellMesh, DiscreteField,
                             EnergyContext, affine_values, energy_gradient,
-                            energy_integral, free_size, inject, pack,
-                            read_grid_text, reduce_gradient, refine_mesh,
-                            scaled_gradient, transverse_average, unpack)
+                            energy_integral, free_size, inject,
+                            kinematic_operator, pack, reduce_gradient,
+                            refine_mesh, scaled_gradient, transverse_average,
+                            unpack)
 from filmcell.integrand import MaterialPoint, pnorm_density, two_well_density
 from oracles import rel_err
 
@@ -195,17 +196,6 @@ def test_refine_and_inject_preserve_function():
     assert v_up == pytest.approx(v, rel=1e-12)
 
 
-def test_grid_text_round_trip(tmp_path):
-    mesh = CellMesh(2, 3, 2)
-    rng = np.random.default_rng(9)
-    field = rand_field(mesh, rng)
-    path = tmp_path / "field.grid"
-    from filmcell.field import dump_grid_text
-    dump_grid_text(field, path)
-    back = read_grid_text(path, mesh)
-    assert np.array_equal(back.values, field.values)
-
-
 def test_nonconvex_energy_assembly_positive():
     A = np.diag([0.5, 0.0, 0.0])
     W = two_well_density(A)
@@ -226,3 +216,89 @@ def test_reduce_gradient_is_adjoint_of_unpack(seed):
     lhs = float(np.sum(grad * unpack(vec, mesh)))
     rhs = float(pack(reduce_gradient(grad, mesh), mesh) @ vec)
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+
+MODES = [LATERAL_ZERO, LATERAL_PERIODIC, LATERAL_AFFINE, FULLY_PERIODIC]
+W3 = pnorm_density(3.0)
+
+
+def _free_context(mode, constrained, rng):
+    mesh = CellMesh(3, 2, 2, lengths=(1.5, 0.8), boundary_mode=mode)
+    datum = None
+    if mode == LATERAL_AFFINE:
+        datum = affine_values(mesh, rng.normal(size=(3, 2)))
+    fbar = 0.3 * rng.normal(size=(3, 2))
+    z = 0.3 * rng.normal(size=3)
+
+    def make(fb=fbar, zz=z):
+        return EnergyContext(W3, mesh, transverse_scale=1.7, prefactor=0.5,
+                             x_mode="frozen", x0=MaterialPoint((0.5, 0.5), 0.0),
+                             inplane_offset=fb, transverse_offset=zz,
+                             constrained=constrained, datum=datum)
+    x = 0.2 * rng.normal(size=free_size(mesh))
+    return mesh, datum, make, x, fbar, z
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_free_dof_gradient_matches_central_differences(mode, constrained):
+    rng = np.random.default_rng(11)
+    mesh, datum, make, x, _, _ = _free_context(mode, constrained, rng)
+    ctx = make()
+    val, grad = ctx.value_and_grad(x)
+    assert grad.shape == x.shape
+    assert val == pytest.approx(ctx.value(x), rel=1e-14)
+    # The free-dof vector means the unpacked (and projected) nodal field.
+    nodal = unpack(ctx.operator.project(x), mesh, datum)
+    assert val == pytest.approx(ctx.value(nodal), rel=1e-12)
+    h = 1e-6
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        fd = (ctx.value(x + e) - ctx.value(x - e)) / (2 * h)
+        assert abs(grad[k] - fd) < 1e-6 * (1.0 + abs(fd))
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_offset_gradients_match_central_differences(mode, constrained):
+    rng = np.random.default_rng(12)
+    _, _, make, x, fbar, z = _free_context(mode, constrained, rng)
+    _, _, dF, dz = make().value_and_grad(x, offset_grads=True)
+    h = 1e-6
+    for d in range(3):
+        for a in range(2):
+            e = np.zeros((3, 2))
+            e[d, a] = h
+            fd = (make(fbar + e, z).value(x) - make(fbar - e, z).value(x)) / (2 * h)
+            assert rel_err(dF[d, a], fd) < 1e-6
+        e = np.zeros(3)
+        e[d] = h
+        fd = (make(fbar, z + e).value(x) - make(fbar, z - e).value(x)) / (2 * h)
+        assert rel_err(dz[d], fd) < 1e-6
+
+
+def test_transverse_projector_pins_the_trace_mean():
+    mesh = CellMesh(3, 2, 4, boundary_mode=LATERAL_PERIODIC)
+    op = kinematic_operator(mesh, constrained=True)
+    rng = np.random.default_rng(13)
+    x = op.project(rng.normal(size=op.ndof))
+    u = unpack(x, mesh)
+    trace = (u[:3, :2, -1] - u[:3, :2, 0]).mean(axis=(0, 1))
+    assert np.abs(trace).max() < 1e-14
+    assert np.allclose(op.project(x), x, atol=1e-14)
+
+
+def test_operator_cache_keys_on_geometry():
+    a = CellMesh(2, 2, 2, lengths=(1.0, 1.0), boundary_mode=LATERAL_PERIODIC)
+    b = CellMesh(2, 2, 2, lengths=(2.0, 1.0), boundary_mode=LATERAL_PERIODIC)
+    moved = CellMesh(2, 2, 2, origin=(3.0, -1.0), boundary_mode=LATERAL_PERIODIC)
+    assert kinematic_operator(a) is kinematic_operator(moved)
+    assert kinematic_operator(a) is not kinematic_operator(b)
+    assert kinematic_operator(a) is not kinematic_operator(a, constrained=True)
+    assert kinematic_operator(a) is not kinematic_operator(a, (OPEN, OPEN, OPEN))
+    # each entry carries its own spacings: the x1-slope of an affine field
+    fbar = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    for mesh in (a, b):
+        G = scaled_gradient(DiscreteField(mesh, affine_values(mesh, fbar)))
+        assert np.allclose(G[..., 0, 0], 1.0, atol=1e-13)

@@ -311,6 +311,38 @@ def test_convergence_study_keeps_error_rows(tmp_path, monkeypatch):
     assert lines[2] == "0.5,error,,,"
 
 
+class _SmoothSource:
+    """Q = a(x) (|F|^2 + |z|^2) + 0.1 |F|^4 with its exact derivatives."""
+
+    def evaluate(self, x_alpha, fbar, z):
+        a = 1.0 + 0.5 * x_alpha[0]
+        nf = float(np.sum(fbar ** 2))
+        val = a * (nf + float(z @ z)) + 0.1 * nf ** 2
+        return val, (2.0 * a + 0.4 * nf) * fbar, 2.0 * a * z
+
+
+def test_limit_gradient_matches_central_differences():
+    source = _SmoothSource()
+    sheet = SheetMesh(3, 2, lengths=(1.0, 0.7))
+    loads = LoadSystem(f=[0.1, 0.0, -0.2], g=([0.0, 0.1, 0.0], None),
+                       g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+    fun, x0, split = thinfilm._limit_objective(source, sheet, loads, FBAR)
+    rng = np.random.default_rng(3)
+    x = x0 + 0.1 * rng.normal(size=x0.shape)
+    val, grad = fun(x)
+
+    def energy(vec):
+        v, b = split(vec)
+        return limit_membrane_energy(source, sheet, loads, v, b)
+    assert val == pytest.approx(energy(x), rel=1e-12)
+    h = 1e-6
+    for k in range(x.size):
+        e = np.zeros_like(x)
+        e[k] = h
+        fd = (energy(x + e) - energy(x - e)) / (2 * h)
+        assert abs(grad[k] - fd) < 1e-6 * (1.0 + abs(fd))
+
+
 def test_cell_source_rounds_and_caches():
     source = CellDensitySource(W_QUAD, SMALL_CELL)
     z = np.array([0.0, 0.1, -0.2])
