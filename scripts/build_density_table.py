@@ -21,7 +21,6 @@ from filmcell.tabulate import (build_table, check_z_convexity, load_table,
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None, help="YAML run configuration")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="density_table.fct")
     args = ap.parse_args()
 
@@ -39,8 +38,7 @@ def main():
             print(f"  {k}/{total} nodes", flush=True)
 
     t0 = time.perf_counter()
-    table = build_table(W, grid, kind=kind, template=template,
-                        threads=args.threads, progress=progress)
+    table = build_table(W, grid, kind=kind, template=template, progress=progress)
     print(f"built {grid.node_count} nodes in {time.perf_counter() - t0:.1f}s "
           f"({table.invalid} invalid)")
 

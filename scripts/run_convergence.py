@@ -16,13 +16,12 @@ from filmcell.thinfilm import convergence_study
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None, help="YAML run configuration")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--csv", default=None, help="optional CSV output path")
     args = ap.parse_args()
 
     resolved = load_config(args.config) if args.config else resolve_config({})
     problem = build_problem(resolved)
-    study = convergence_study(problem, threads=args.threads)
+    study = convergence_study(problem)
 
     print(f"limit energy: {study.limit_energy:.12g} "
           f"({study.limit_info['iterations']} descent iterations)")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import tempfile
 import time
@@ -130,7 +129,7 @@ def _warn_exit(sol):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_density(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_density(config, out_dir=None, export=None, argv=None):
     """Membrane energy density at the configured (x0, fbar)."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -154,7 +153,7 @@ def cmd_density(config, out_dir=None, threads=1, export=None, argv=None):
                    csv_writer, _warn_exit(sol))
 
 
-def cmd_cosserat(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_cosserat(config, out_dir=None, export=None, argv=None):
     """Cosserat-membrane density at the configured (x0, fbar, z)."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -173,7 +172,7 @@ def cmd_cosserat(config, out_dir=None, threads=1, export=None, argv=None):
                    csv_writer, _warn_exit(sol))
 
 
-def cmd_qcx(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_qcx(config, out_dir=None, export=None, argv=None):
     """Quasiconvex envelope of the integrand at the configured 3x3 F."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -198,7 +197,7 @@ def cmd_qcx(config, out_dir=None, threads=1, export=None, argv=None):
                    csv_writer, _warn_exit(sol))
 
 
-def cmd_gamma(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_gamma(config, out_dir=None, export=None, argv=None):
     """Thickness sweep of the scaled energies against the limit model."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -221,7 +220,7 @@ def cmd_gamma(config, out_dir=None, threads=1, export=None, argv=None):
         source = TableDensitySource(table)
     else:
         raise ConfigError("config key 'gamma.source' must be 'cell' or 'table'")
-    study = convergence_study(problem, source=source, threads=threads)
+    study = convergence_study(problem, source=source)
     warnings = list(study.limit_info.get("warnings", []))
     for row in study.rows:
         warnings.extend(row.get("warnings", []))
@@ -240,7 +239,7 @@ def cmd_gamma(config, out_dir=None, threads=1, export=None, argv=None):
                    study.to_csv, code)
 
 
-def cmd_tabulate(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_tabulate(config, out_dir=None, export=None, argv=None):
     """Build (or resume) a density table over the configured grid."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -251,8 +250,7 @@ def cmd_tabulate(config, out_dir=None, threads=1, export=None, argv=None):
     template = build_cell_spec(resolved, with_z=(kind == "cosserat"))
     resume = load_table(tc["resume"]) if tc["resume"] else None
     table = build_table(W, grid, kind=kind, template=template,
-                        threads=threads, resume=resume,
-                        node_limit=tc["node_limit"])
+                        resume=resume, node_limit=tc["node_limit"])
     table_path = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -421,7 +419,7 @@ CHECKS = {
 }
 
 
-def cmd_check(config, out_dir=None, threads=1, export=None, argv=None):
+def cmd_check(config, out_dir=None, export=None, argv=None):
     """Run the named internal consistency checks on the configured model."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
@@ -479,19 +477,6 @@ _SUMMARY_KEYS = {
 }
 
 
-def _thread_count(requested):
-    cap = os.environ.get("FILMCELL_THREADS")
-    threads = max(1, int(requested))
-    if cap is not None:
-        try:
-            threads = min(threads, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(
-                f"environment variable FILMCELL_THREADS must be an "
-                f"integer, got {cap!r}")
-    return threads
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="filmcell",
@@ -512,8 +497,6 @@ def main(argv=None):
                        help="run configuration file (defaults if omitted)")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="directory for the report and artifacts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (capped by FILMCELL_THREADS)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--export", choices=("csv",), default=None,
@@ -524,9 +507,8 @@ def main(argv=None):
         if args.seed is not None:
             config["seed"] = args.seed
             config = resolve_config(config)
-        threads = _thread_count(args.threads)
         code, report = _COMMANDS[args.command](
-            config, out_dir=args.out, threads=threads, export=args.export,
+            config, out_dir=args.out, export=args.export,
             argv=list(sys.argv[1:]) if argv is None else list(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Run configuration: defaults, validation, and object construction.
 
 A run is described by one YAML file with five blocks (integrand, cell,
-gamma, tabulate, output) plus a seed.  Loading deep-merges the user file
+gamma, tabulate, check) plus a seed.  Loading deep-merges the user file
 over the package defaults and rejects unknown keys by their dotted path,
 so typos surface as diagnostics instead of silently running defaults.
 The fully resolved mapping (every defaulted field filled in) is what
@@ -85,10 +85,6 @@ DEFAULTS = {
         "node_limit": None,
         "resume": None,
         "path": "density_table.fct",
-    },
-    "output": {
-        "dir": "out",
-        "report": None,
     },
     "check": {
         "names": None,

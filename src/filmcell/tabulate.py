@@ -9,10 +9,10 @@ use the same machinery.  Values come from one cell solve per node
 (zero-boundary membrane form or the transverse-vector cosserat form).
 
 Builds are deterministic given the integrand and the cell template:
-nodes are solved independently in a fixed order (optionally threaded,
-aggregated in input order, no cross-node warm starts), so a resumed
-partial build reproduces a fresh build bit for bit.  Every solved node
-is checked against the additive growth sandwich
+nodes are solved one after another in flat index order with no
+cross-node warm starts, so a resumed partial build reproduces a fresh
+build bit for bit.  Every solved node is checked against the additive
+growth sandwich
 
     beta_lower (|Fbar|^p + |z|^p)  <=  value  <=  beta_upper (|Fbar|^p + |z|^p + 1),
 
@@ -24,17 +24,22 @@ other exponents it is enforced as stated here.
 Queries interpolate multilinearly over the active axes, are exact at
 nodes, and refuse to extrapolate: outside the bounding box raises
 instead of clamping, since p-growth makes extrapolation error explode
-silently.  The on-disk format is a versioned text header (kind, grid,
-provenance, validity mask, value checksum) terminated by an
-``end-header`` sentinel and followed by the values as a flat
-little-endian float64 block in row-major axis order.
+silently.  A query walks a plan cached per grid in plain float
+arithmetic: one bounds check per axis, then one flat read of values and
+mask per corner of its cell (2^a corners for a active axes).  The
+on-disk format is a versioned text header (kind, grid, provenance,
+validity mask, value checksum) terminated by an ``end-header`` sentinel
+and followed by the values as a flat little-endian float64 block in
+row-major axis order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -214,7 +219,7 @@ def _solve_node(W, grid, kind, template, flat_index):
 
 
 def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat",
-                template: CellProblemSpec | None = None, threads: int = 1,
+                template: CellProblemSpec | None = None,
                 resume: DensityTable | None = None, node_limit: int | None = None,
                 progress=None) -> DensityTable:
     """Solve one cell problem per grid node and collect the results.
@@ -225,7 +230,7 @@ def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat"
     build produces.  ``node_limit`` stops after that many newly computed
     nodes (leaving the rest pending), which is how partial tables arise
     deliberately; interrupted builds are the accidental source.
-    ``progress`` is called as progress(done, total) in aggregation order.
+    ``progress`` is called as progress(done, total) after each node.
     """
     if kind not in ("membrane", "cosserat"):
         raise ValueError("table kind must be 'membrane' or 'cosserat'")
@@ -258,22 +263,10 @@ def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat"
     if node_limit is not None:
         todo = todo[:node_limit]
 
-    def solve(i):
-        return _solve_node(W, grid, kind, template, i)
-
-    if threads > 1 and len(todo) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(solve, todo)
-            for done, (i, (val, m)) in enumerate(zip(todo, results), 1):
-                values[i], mask[i] = val, m
-                if progress is not None:
-                    progress(done, len(todo))
-    else:
-        for done, i in enumerate(todo, 1):
-            values[i], mask[i] = solve(i)
-            if progress is not None:
-                progress(done, len(todo))
+    for done, i in enumerate(todo, 1):
+        values[i], mask[i] = _solve_node(W, grid, kind, template, i)
+        if progress is not None:
+            progress(done, len(todo))
     return DensityTable(grid, kind, values.reshape(grid.shape),
                         mask.reshape(grid.shape), provenance)
 
@@ -291,66 +284,91 @@ def _match_x(grid: SampleGrid, x_alpha):
         f"point; the table holds {list(grid.x_points)}")
 
 
-def _axis_weights(spec, q, label):
-    """Corner contributions of one axis: list of (index, weight, dweight)."""
-    if spec[0] == "frozen":
-        if abs(q - spec[1]) > _MATCH_TOL:
-            raise ExtrapolationError(
-                f"axis {label} is frozen at {spec[1]}, queried at {q}")
-        return [(0, 1.0, 0.0)]
-    lo, hi, count = spec[1], spec[2], spec[3]
-    tol = _MATCH_TOL * (1.0 + abs(hi - lo))
-    if q < lo - tol or q > hi + tol:
-        raise ExtrapolationError(
-            f"axis {label}: query {q} outside [{lo}, {hi}]")
-    h = (hi - lo) / (count - 1)
-    t = (q - lo) / h
-    # Snap to a node when within rounding distance: queries that sit on a
-    # derivative kink must pick one side deterministically, or float
-    # jitter across quadrature points turns into phantom forces.
-    tn = round(t)
-    if abs(t - tn) <= _MATCH_TOL * (1.0 + abs(t)):
-        t = float(tn)
-    i = int(min(max(np.floor(t), 0), count - 2))
-    s = min(max(t - i, 0.0), 1.0)
-    return [(i, 1.0 - s, -1.0 / h), (i + 1, s, 1.0 / h)]
+@lru_cache(maxsize=32)
+def _query_plan(grid: SampleGrid):
+    """Per-grid query constants; never values or mask, which builds change.
+
+    Returns (x_stride, axes, corners, derivs): per axis (value,) if frozen
+    or (lo, hi, h, count, tol, flat stride); the 2^a corners of one cell
+    of the a active axes in itertools.product order, as (flat offset, side
+    bits); per active axis (axis, (-1/h, 1/h), other active positions).
+    """
+    shape = grid.shape
+    strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+    axes, active = [], []
+    for k, (spec, stride) in enumerate(zip(grid.axes, strides[1:])):
+        if spec[0] == "frozen":
+            axes.append((spec[1],))
+            continue
+        lo, hi, count = spec[1], spec[2], spec[3]
+        h = (hi - lo) / (count - 1)
+        axes.append((lo, hi, h, count, _MATCH_TOL * (1.0 + abs(hi - lo)), stride))
+        active.append((k, (-1.0 / h, 1.0 / h), stride))
+    corners = tuple((sum(b * stride for b, (_, _, stride) in zip(bits, active)), bits)
+                    for bits in product((0, 1), repeat=len(active)))
+    derivs = tuple((k, slopes, tuple(j2 for j2 in range(len(active)) if j2 != j))
+                   for j, (k, slopes, _) in enumerate(active))
+    return strides[0], tuple(axes), corners, derivs
 
 
 def _interp_core(table: DensityTable, x_alpha, fbar, z):
     grid = table.grid
-    fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
+    coords = np.asarray(fbar, dtype=float).reshape(3, 2).ravel().tolist()
     if grid.z_axes is not None:
         if z is None:
             raise ValueError("this table is sampled in z; pass a z query")
-        z = np.asarray(z, dtype=float).reshape(3)
-        coords = list(fbar.ravel()) + list(z)
-    else:
-        if z is not None:
-            raise ValueError("membrane tables take no z argument")
-        coords = list(fbar.ravel())
+        coords += np.asarray(z, dtype=float).reshape(3).tolist()
+    elif z is not None:
+        raise ValueError("membrane tables take no z argument")
     ix = _match_x(grid, x_alpha)
-    per_axis = [_axis_weights(spec, q, f"{k}")
-                for k, (spec, q) in enumerate(zip(grid.axes, coords))]
+    x_stride, axes, corners, derivs = _query_plan(grid)
+    flat = ix * x_stride
+    weights = []
+    for k, (axis, q) in enumerate(zip(axes, coords)):
+        if len(axis) == 1:
+            if abs(q - axis[0]) > _MATCH_TOL:
+                raise ExtrapolationError(
+                    f"axis {k} is frozen at {axis[0]}, queried at {q}")
+            continue
+        lo, hi, h, count, tol, stride = axis
+        if q < lo - tol or q > hi + tol:
+            raise ExtrapolationError(f"axis {k}: query {q} outside [{lo}, {hi}]")
+        t = (q - lo) / h
+        # Snap to a node when within rounding distance: queries that sit on
+        # a derivative kink must pick one side deterministically, or float
+        # jitter across quadrature points turns into phantom forces.
+        tn = round(t)
+        if abs(t - tn) <= _MATCH_TOL * (1.0 + abs(t)):
+            t = float(tn)
+        i = min(max(math.floor(t), 0), count - 2)
+        s = min(max(t - i, 0.0), 1.0)
+        flat += i * stride
+        weights.append((1.0 - s, s))
+    # Products run in axis order, as over all axes with the frozen ones
+    # contributing an exact 1.0, so every bit matches the full formula.
+    values, mask = table.values, table.mask
     value = 0.0
-    dcoord = np.zeros(len(coords))
-    for corner in product(*per_axis):
-        idx = (ix,) + tuple(c[0] for c in corner)
-        if table.mask[idx] != VALID:
-            state = "pending" if table.mask[idx] == PENDING else "invalid"
+    dactive = [0.0] * len(derivs)
+    for offset, bits in corners:
+        state = mask.item(flat + offset)
+        if state != VALID:
+            idx = tuple(int(i) for i in np.unravel_index(flat + offset, grid.shape))
+            state = "pending" if state == PENDING else "invalid"
             raise ValueError(f"table node {idx} is {state}; cannot interpolate")
+        v = values.item(flat + offset)
+        ws = [pair[b] for pair, b in zip(weights, bits)]
         w = 1.0
-        for c in corner:
-            w *= c[1]
-        v = float(table.values[idx])
+        for wk in ws:
+            w *= wk
         value += w * v
-        for k, c in enumerate(corner):
-            if c[2] == 0.0:
-                continue
-            wd = c[2]
-            for k2, c2 in enumerate(corner):
-                if k2 != k:
-                    wd *= c2[1]
-            dcoord[k] += wd * v
+        for j, (_, slopes, others) in enumerate(derivs):
+            wd = slopes[bits[j]]
+            for j2 in others:
+                wd *= ws[j2]
+            dactive[j] += wd * v
+    dcoord = [0.0] * len(coords)
+    for (k, _, _), d in zip(derivs, dactive):
+        dcoord[k] = d
     return value, dcoord
 
 
@@ -373,6 +391,7 @@ def interpolate_with_gradient(table: DensityTable, x_alpha, fbar, z):
     any piecewise-multilinear function's does.
     """
     value, dcoord = _interp_core(table, x_alpha, fbar, z)
+    dcoord = np.array(dcoord)
     dF = dcoord[:6].reshape(3, 2)
     dz = dcoord[6:] if table.grid.z_axes is not None else np.zeros(3)
     return value, dF, dz

@@ -308,6 +308,13 @@ def minimize_thin_film(problem: ThinFilmProblem, eps: float):
 # Density sources for the limit functional
 # ---------------------------------------------------------------------------
 
+def _round_point(fbar, z):
+    """(fbar, z) rounded to 12 decimals, -0.0 made +0.0: views of one 9-vector."""
+    point = np.concatenate((fbar, z), axis=None, dtype=float).round(12)
+    point += 0.0
+    return point[:6].reshape(3, 2), point[6:]
+
+
 class CellDensitySource:
     """Transverse-vector effective density evaluated by nested cell solves.
 
@@ -352,8 +359,7 @@ class CellDensitySource:
     def evaluate(self, x_alpha, fbar, z):
         # Rounding always, not just for the key: the solve happens at the
         # rounded point, so value and gradients belong together.
-        fbar = np.round(np.asarray(fbar, dtype=float).reshape(3, 2), 12) + 0.0
-        z = np.round(np.asarray(z, dtype=float).reshape(3), 12) + 0.0
+        fbar, z = _round_point(fbar, z)
         x_key = (0.0, 0.0) if self.x_const else (float(x_alpha[0]), float(x_alpha[1]))
         key = (x_key, fbar.tobytes(), z.tobytes())
         hit = self.cache.get(key)
@@ -410,8 +416,7 @@ class TableDensitySource:
         self.table = table
 
     def evaluate(self, x_alpha, fbar, z):
-        fbar = np.round(np.asarray(fbar, dtype=float), 12) + 0.0
-        z = np.round(np.asarray(z, dtype=float), 12) + 0.0
+        fbar, z = _round_point(fbar, z)
         return self._interp(self.table, self.x_sub or x_alpha, fbar, z)
 
 
@@ -600,8 +605,7 @@ def _study_row(problem, eps, limit_energy):
             "bbar_norm": bbar_norm, "status": info["status"]}
 
 
-def convergence_study(problem: ThinFilmProblem, source=None,
-                      threads: int = 1) -> ConvergenceReport:
+def convergence_study(problem: ThinFilmProblem, source=None) -> ConvergenceReport:
     """Minimize the film at every thickness and compare with the limit.
 
     The limit energy is the minimum of the limit functional over (v,
@@ -624,10 +628,5 @@ def convergence_study(problem: ThinFilmProblem, source=None,
         except Exception as exc:   # noqa: BLE001 - partial reports by contract
             return {"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"}
 
-    if threads > 1 and len(problem.epsilons) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, problem.epsilons))
-    else:
-        rows = [run(eps) for eps in problem.epsilons]
+    rows = [run(eps) for eps in problem.epsilons]
     return ConvergenceReport(rows, limit_energy, limit_info, bbar_limit)

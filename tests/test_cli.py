@@ -7,7 +7,6 @@ import pytest
 import yaml
 
 from filmcell.cli import (
-    _thread_count,
     cmd_check,
     cmd_cosserat,
     cmd_density,
@@ -198,7 +197,6 @@ def test_cmd_tabulate_then_gamma_table_source(tmp_path):
                        ["range", -0.5, 0.5, 5]],
             "path": "quad.fct",
         },
-        "output": {"dir": str(tmp_path)},
     }
     code, report = cmd_tabulate(tab_cfg, out_dir=tmp_path)
     assert code == 0
@@ -276,18 +274,6 @@ def test_cmd_check_repeat_is_byte_identical():
 def test_export_csv_requires_out_dir():
     with pytest.raises(ConfigError, match="--out"):
         cmd_density(quad_config(), export="csv")
-
-
-def test_thread_count_env_cap(monkeypatch):
-    monkeypatch.delenv("FILMCELL_THREADS", raising=False)
-    assert _thread_count(4) == 4
-    assert _thread_count(0) == 1
-    monkeypatch.setenv("FILMCELL_THREADS", "2")
-    assert _thread_count(8) == 2
-    assert _thread_count(1) == 1
-    monkeypatch.setenv("FILMCELL_THREADS", "lots")
-    with pytest.raises(ConfigError, match="FILMCELL_THREADS"):
-        _thread_count(4)
 
 
 def test_main_density_end_to_end(tmp_path, capsys):

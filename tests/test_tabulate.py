@@ -1,5 +1,7 @@
 """Tests for density table building, interpolation, and the file format."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from filmcell.cell import CellProblemSpec, membrane_density
 from filmcell.field import CellMesh
 from filmcell.integrand import GrowthSpec, MaterialPoint, pnorm_density
 from filmcell.tabulate import (
+    INVALID,
+    PENDING,
+    VALID,
     DensityTable,
     ExtrapolationError,
     SampleGrid,
@@ -114,14 +119,6 @@ def test_fully_frozen_grid_matches_direct_solve():
     assert query(table, (0.25, 0.75), fbar) == direct.value
 
 
-def test_threaded_build_matches_serial():
-    grid = cosserat_grid()
-    serial = build_table(W_QUAD, grid, "cosserat", TEMPLATE, threads=1)
-    threaded = build_table(W_QUAD, grid, "cosserat", TEMPLATE, threads=3)
-    assert np.array_equal(serial.values, threaded.values)
-    assert np.array_equal(serial.mask, threaded.mask)
-
-
 def test_node_limit_and_resume_bitwise():
     grid = cosserat_grid()
     fresh = build_table(W_QUAD, grid, "cosserat", TEMPLATE)
@@ -184,6 +181,170 @@ def test_query_argument_errors():
         query(mem, (0.5, 0.5), fbar, z=np.zeros(3))
     with pytest.raises(ValueError, match="pass a z"):
         query(cos, (0.5, 0.5), fbar)
+
+
+def reference_interp(table, x_alpha, fbar, z):
+    """The multilinear formula summed over itertools.product of every
+    axis's corners, frozen axes included with weight 1.0."""
+    grid = table.grid
+    coords = list(np.asarray(fbar, dtype=float).reshape(3, 2).ravel())
+    if grid.z_axes is not None:
+        if z is None:
+            raise ValueError("this table is sampled in z; pass a z query")
+        coords += list(np.asarray(z, dtype=float).reshape(3))
+    elif z is not None:
+        raise ValueError("membrane tables take no z argument")
+    matches = [i for i, p in enumerate(grid.x_points)
+               if abs(x_alpha[0] - p[0]) <= 1e-9 and abs(x_alpha[1] - p[1]) <= 1e-9]
+    if not matches:
+        raise ValueError(
+            f"x_alpha {tuple(float(v) for v in x_alpha)} is not a stored sample "
+            f"point; the table holds {list(grid.x_points)}")
+    per_axis = []
+    for k, (spec, q) in enumerate(zip(grid.axes, coords)):
+        if spec[0] == "frozen":
+            if abs(q - spec[1]) > 1e-9:
+                raise ExtrapolationError(
+                    f"axis {k} is frozen at {spec[1]}, queried at {q}")
+            per_axis.append([(0, 1.0, 0.0)])
+            continue
+        lo, hi, count = spec[1], spec[2], spec[3]
+        tol = 1e-9 * (1.0 + abs(hi - lo))
+        if q < lo - tol or q > hi + tol:
+            raise ExtrapolationError(f"axis {k}: query {q} outside [{lo}, {hi}]")
+        h = (hi - lo) / (count - 1)
+        t = (q - lo) / h
+        if abs(t - round(t)) <= 1e-9 * (1.0 + abs(t)):
+            t = float(round(t))
+        i = int(min(max(np.floor(t), 0), count - 2))
+        s = min(max(t - i, 0.0), 1.0)
+        per_axis.append([(i, 1.0 - s, -1.0 / h), (i + 1, s, 1.0 / h)])
+    value = 0.0
+    dcoord = np.zeros(len(coords))
+    for corner in product(*per_axis):
+        idx = (matches[0],) + tuple(c[0] for c in corner)
+        if table.mask[idx] != VALID:
+            state = "pending" if table.mask[idx] == PENDING else "invalid"
+            raise ValueError(f"table node {idx} is {state}; cannot interpolate")
+        v = float(table.values[idx])
+        w = 1.0
+        for c in corner:
+            w *= c[1]
+        value += w * v
+        for k, c in enumerate(corner):
+            if c[2] == 0.0:
+                continue
+            wd = c[2]
+            for k2, c2 in enumerate(corner):
+                if k2 != k:
+                    wd *= c2[1]
+            dcoord[k] += wd * v
+    dz = dcoord[6:] if grid.z_axes is not None else np.zeros(3)
+    return value, dcoord[:6].reshape(3, 2), dz
+
+
+def outcome(fn, *args):
+    """Result bytes and shapes, or the exception type and message."""
+    try:
+        value, dF, dz = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (np.float64(value).tobytes(), dF.tobytes(), dz.tobytes(),
+            dF.shape, dz.shape)
+
+
+def random_table(rng, kind, active, x_points=((0.25, 0.5), (0.75, 0.5))):
+    """Table with random values over a grid with ``active`` range axes."""
+    n_axes = 9 if kind == "cosserat" else 6
+    axes = [("frozen", float(v)) for v in rng.uniform(-0.5, 0.5, n_axes)]
+    for k in rng.choice(n_axes, active, replace=False):
+        lo = float(rng.uniform(-1.0, 0.0))
+        axes[k] = ("range", lo, lo + float(rng.uniform(0.5, 2.0)),
+                   int(rng.integers(2, 5)))
+    grid = SampleGrid(x_points, tuple(axes[:6]),
+                      tuple(axes[6:]) if kind == "cosserat" else None)
+    mask = np.full(grid.shape, VALID, dtype=np.uint8)
+    return DensityTable(grid, kind, rng.normal(size=grid.shape), mask)
+
+
+def split_query(grid, coords):
+    z = coords[6:] if grid.z_axes is not None else None
+    return coords[:6].reshape(3, 2), z
+
+
+@pytest.mark.parametrize("kind", ["membrane", "cosserat"])
+@pytest.mark.parametrize("active", [1, 2, 3])
+def test_query_matches_reference_formula_bitwise(kind, active):
+    rng = np.random.default_rng([active, len(kind)])
+    table = random_table(rng, kind, active)
+    grid = table.grid
+    queries = []
+    for i in range(grid.node_count):
+        x_alpha, fbar, z = grid.node_args(i)
+        queries.append((x_alpha, fbar, z))
+        # within 1e-10 of a node: snapped onto it
+        jitter = np.concatenate([fbar.ravel(), [] if z is None else z])
+        for k, spec in enumerate(grid.axes):
+            if spec[0] == "range":
+                jitter[k] += rng.uniform(-1e-10, 1e-10)
+        queries.append((x_alpha, *split_query(grid, jitter)))
+    lo = np.array([a[1] for a in grid.axes])
+    hi = np.array([a[1] if a[0] == "frozen" else a[2] for a in grid.axes])
+    for coords in rng.uniform(lo, hi, (300, len(grid.axes))):
+        x_alpha = grid.x_points[rng.integers(len(grid.x_points))]
+        queries.append((x_alpha, *split_query(grid, coords)))
+    for q in queries:
+        got = outcome(interpolate_with_gradient, table, *q)
+        assert got == outcome(reference_interp, table, *q)
+        assert len(got) == 5
+    # a node returns its stored value exactly
+    x_alpha, fbar, z = grid.node_args(grid.node_count - 1)
+    assert query(table, x_alpha, fbar, z) == table.values.ravel()[-1]
+
+
+def test_query_errors_match_reference():
+    rng = np.random.default_rng(5)
+    table = random_table(rng, "cosserat", 3)
+    grid = table.grid
+    active = [k for k, a in enumerate(grid.axes) if a[0] == "range"]
+    frozen = [k for k, a in enumerate(grid.axes) if a[0] == "frozen"]
+    mid = np.array([a[1] if a[0] == "frozen" else 0.5 * (a[1] + a[2])
+                    for a in grid.axes])
+    cases = []
+    off = mid.copy()
+    off[frozen[0]] += 1e-6
+    cases.append(off)                       # frozen mismatch
+    early, late = mid.copy(), mid.copy()
+    early[active[0]] = grid.axes[active[0]][2] + 1.0
+    early[active[-1]] = grid.axes[active[-1]][1] - 1.0
+    late[active[-1]] = grid.axes[active[-1]][1] - 1.0
+    cases += [early, late]                  # first failing axis is reported
+    both = off.copy()
+    both[active[-1]] = 99.0
+    cases.append(both)
+    for coords in cases:
+        q = ((0.25, 0.5), *split_query(grid, coords))
+        got = outcome(interpolate_with_gradient, table, *q)
+        assert got[0] is ExtrapolationError
+        assert got == outcome(reference_interp, table, *q)
+    # pending and invalid corners, each found first in corner order
+    fbar, z = split_query(grid, mid)
+    for state, word in ((PENDING, "pending"), (INVALID, "invalid")):
+        broken = DensityTable(grid, "cosserat", table.values, table.mask.copy())
+        broken.mask.ravel()[rng.choice(broken.mask.size, 5, replace=False)] = state
+        for x_alpha in grid.x_points:
+            got = outcome(interpolate_with_gradient, broken, x_alpha, fbar, z)
+            assert got == outcome(reference_interp, broken, x_alpha, fbar, z)
+        with pytest.raises(ValueError, match=word):
+            for i in range(grid.node_count):
+                interpolate_with_gradient(broken, *grid.node_args(i))
+    # z on a membrane table, no z on a cosserat table, unknown x_alpha
+    mem = random_table(rng, "membrane", 2)
+    for tab, args in ((mem, ((0.25, 0.5), fbar, z)), (table, ((0.25, 0.5), fbar, None)),
+                      (table, ((0.3, 0.5), fbar, z))):
+        got = outcome(interpolate_with_gradient, tab, *args)
+        assert got[0] is ValueError
+        assert got == outcome(reference_interp, tab, *args)
 
 
 def test_interpolation_gradient_matches_differences():
