@@ -109,16 +109,28 @@ def _tensor_rule(quadrature: str, dim: int):
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def _quad_coords(counts, origin, spacings, quadrature):
-    """Per-axis coordinates of every quadrature point, each counts + (nq,)."""
+    """Per-axis coordinates of every quadrature point, each counts + (nq,).
+
+    Cached per geometry (tuple arguments) and shared between callers:
+    read-only.
+    """
     xi = _tensor_rule(quadrature, len(counts))[0]
-    return tuple(o + (c[..., None] + xi[:, a]) * h for a, (o, h, c) in
-                 enumerate(zip(origin, spacings, np.indices(tuple(counts)))))
+    out = tuple(o + (c[..., None] + xi[:, a]) * h for a, (o, h, c) in
+                enumerate(zip(origin, spacings, np.indices(counts))))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
+@functools.lru_cache(maxsize=32)
 def _quad_weights(counts, spacings, quadrature):
+    """Physical weight of every quadrature point, counts + (nq,); read-only."""
     w = _tensor_rule(quadrature, len(counts))[1] * float(np.prod(spacings))
-    return np.broadcast_to(w, tuple(counts) + (w.size,)).copy()
+    out = np.broadcast_to(w, counts + (w.size,)).copy()
+    out.setflags(write=False)
+    return out
 
 
 def _axis_dofs(n: int, rule: str):
@@ -501,9 +513,8 @@ class EnergyContext:
         minimization, density sources for the limit functional).
         """
         op, G = self._gradients(values)
-        e = self.W.energy_array(self.modv, G)
+        e, S = self.W.energy_stress_array(self.modv, G)
         val = self.prefactor * float(e @ self._wq)
-        S = self.W.stress_array(self.modv, G)
         S *= self._stress_weights[:, None, None]
         if offset_grads:
             total = S.sum(axis=0)

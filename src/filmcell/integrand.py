@@ -337,10 +337,14 @@ class _PNorm:
         return self.scale * frobenius(F) ** self.p
 
     def stress(self, F):
+        return self.energy_stress(F)[1]
+
+    def energy_stress(self, F):
+        """Energy and stress from one Frobenius norm."""
         F = np.asarray(F, dtype=float)
         n = frobenius(F)
         fac = np.where(n > 0.0, self.scale * self.p * n ** (self.p - 2.0), 0.0)
-        return fac[..., None, None] * F
+        return self.scale * n ** self.p, fac[..., None, None] * F
 
     def base_growth(self):
         return GrowthSpec(self.p, self.scale, self.scale)
@@ -391,6 +395,9 @@ class _AnisoQuadratic:
         shape = np.shape(F)
         v = np.asarray(F, dtype=float).reshape(*shape[:-2], 9)
         return np.einsum("ij,...j->...i", self.cmat, v).reshape(shape)
+
+    def energy_stress(self, F):
+        return self.energy(F), self.stress(F)
 
     def base_growth(self):
         return GrowthSpec(2.0, 0.5 * self._eig_min, max(0.5 * self._eig_max, 0.5 * self._eig_min))
@@ -445,11 +452,15 @@ class _TwoWell:
         return np.minimum(d1, d2)
 
     def stress(self, F):
+        return self.energy_stress(F)[1]
+
+    def energy_stress(self, F):
+        """Energy and stress from one pair of well distances."""
         F = np.asarray(F, dtype=float)
         d1, d2 = self._dists(F)
         pick_first = (d1 <= d2)[..., None, None]
         A = np.where(pick_first, self.wells[0], self.wells[1])
-        return 2.0 * (F - A)
+        return np.minimum(d1, d2), 2.0 * (F - A)
 
     def base_growth(self):
         amax2 = max(float(np.sum(A * A)) for A in self.wells)
@@ -529,6 +540,16 @@ class StoredEnergyDensity:
     def stress_array(self, modv, F):
         return np.asarray(modv)[..., None, None] * self.family.stress(F)
 
+    def energy_stress_array(self, modv, F):
+        """``(energy_array(modv, F), stress_array(modv, F))`` in one pass.
+
+        The family shares its norm or well distances between the two;
+        every value is bitwise the one the separate calls return.
+        """
+        modv = np.asarray(modv)
+        energy, stress = self.family.energy_stress(F)
+        return modv * energy, modv[..., None, None] * stress
+
     # -- fiber problem ------------------------------------------------------
 
     def fiber_infimum(self, x, fbar, solver: SolverConfig | None = None):
@@ -553,9 +574,8 @@ class StoredEnergyDensity:
 
         def fun(z):
             F = join(fbar, z)
-            val = a * float(self.family.energy(F))
-            grad = a * self.family.stress(F)[:, 2]
-            return val, grad
+            energy, stress = self.family.energy_stress(F)
+            return a * float(energy), a * stress[:, 2]
 
         starts = [("zero", np.zeros(3))]
         starts += [(f"col{i}{s:+d}", s * fbar[:, i].copy())

@@ -25,12 +25,17 @@ same affine datum on the boundary, and reports relative gaps.
 
 Density values reach the 2D assembly through a small source interface
 (value plus derivatives w.r.t. the membrane block and the transverse
-vector); cell-solver sources cache by exact argument bytes, so uniform
-fields cost one cell solve per descent iterate.
+vector).  Cost model of the limit descent: one evaluation of J at a new
+descent vector makes one density lookup per sheet quadrature point, and
+a cell-solver source runs a cell solve only for a (position, rounded
+argument) key it has not seen; a vector the descent has already
+evaluated, as a stalled descent's repeated trial points are, costs one
+dict lookup (a FIFO memo of 64 vectors on the objective).
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -308,10 +313,32 @@ def minimize_thin_film(problem: ThinFilmProblem, eps: float):
 # Density sources for the limit functional
 # ---------------------------------------------------------------------------
 
+_POINT = struct.Struct("9d")      # rounded (fbar, z): 48 + 24 bytes
+
+
+def _rounded_values(fbar, z):
+    """fbar then z as nine Python floats rounded to 12 decimals, -0.0 made +0.0.
+
+    ``round(v * 1e12) / 1e12`` repeats the multiply, rint and divide of
+    ``np.round(v, 12)`` bit for bit: ``round`` breaks ties to even like
+    rint, and its integer converts back to the same float.  A value that
+    rounds to zero comes back from the integer 0, hence as +0.0.
+    """
+    values = (fbar.ravel().tolist() if isinstance(fbar, np.ndarray)
+              else np.ravel(fbar).tolist())
+    values += z.ravel().tolist() if isinstance(z, np.ndarray) else np.ravel(z).tolist()
+    if len(values) != 9:
+        raise ValueError(f"need a 3x2 fbar and a 3-vector z, got {len(values)} values")
+    try:
+        return [round(v * 1e12) / 1e12 for v in values]
+    except (ValueError, OverflowError):
+        raise ValueError("density arguments must be finite and below 1e296 in "
+                         f"magnitude, got fbar={fbar!r}, z={z!r}") from None
+
+
 def _round_point(fbar, z):
     """(fbar, z) rounded to 12 decimals, -0.0 made +0.0: views of one 9-vector."""
-    point = np.concatenate((fbar, z), axis=None, dtype=float).round(12)
-    point += 0.0
+    point = np.array(_rounded_values(fbar, z))
     return point[:6].reshape(3, 2), point[6:]
 
 
@@ -325,8 +352,9 @@ class CellDensitySource:
     solved at the rounded point, so the cached value and gradients stay
     mutually consistent while float jitter across quadrature points of a
     spatially uniform limit field collapses to one cell solve per
-    iterate.  Heterogeneous integrands key the cache by x_alpha unless
-    the modulation is constant in-plane.
+    evaluation.  Heterogeneous integrands key the cache by x_alpha unless
+    the modulation is constant in-plane.  A cache hit builds no array:
+    the key is packed from the rounded Python floats.
 
     For nonconvex integrands the reported value may come from the
     periodic relaxation pass while the gradients are those of the raw
@@ -359,13 +387,16 @@ class CellDensitySource:
     def evaluate(self, x_alpha, fbar, z):
         # Rounding always, not just for the key: the solve happens at the
         # rounded point, so value and gradients belong together.
-        fbar, z = _round_point(fbar, z)
+        values = _rounded_values(fbar, z)
+        point = _POINT.pack(*values)
         x_key = (0.0, 0.0) if self.x_const else (float(x_alpha[0]), float(x_alpha[1]))
-        key = (x_key, fbar.tobytes(), z.tobytes())
+        key = (x_key, point[:48], point[48:])
         hit = self.cache.get(key)
         if hit is not None:
             return hit
         self.solves += 1
+        point = np.array(values)
+        fbar, z = point[:6].reshape(3, 2), point[6:]
         x0 = MaterialPoint((float(x_alpha[0]), float(x_alpha[1])), 0.0)
         spec, warm = self._spec_for(x_key, fbar, z, x0)
         sol = cosserat_density(self.W, spec, warm_start=warm)
@@ -490,11 +521,46 @@ def limit_membrane_energy(source, sheet: SheetMesh, loads: LoadSystem,
     return total - float(np.sum(ell_v * v_values)) - float(np.sum(ell_b * b_values))
 
 
+# Distinct points the limit objective remembers: at least one descent
+# iteration's trial points (SolverConfig.max_backtracks + 1).
+_LIMIT_MEMO_SIZE = 64
+
+
+def _memoized(fun):
+    """``fun(vec) -> (value, grad)`` behind a FIFO memo of recent vectors.
+
+    Keys are the exact bytes of ``vec``; cached gradients are read-only.
+    A descent whose steps leave x unchanged retries the same trial
+    points every iteration, and those repeats then cost a dict lookup.
+    Only a deterministic ``fun`` may be wrapped: a repeat must return
+    what a fresh evaluation would.
+    """
+    memo = {}
+
+    def wrapped(vec):
+        key = vec.tobytes()
+        out = memo.get(key)
+        if out is None:
+            out = fun(vec)
+            out[1].setflags(write=False)
+            if len(memo) >= _LIMIT_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = out
+        return out
+
+    wrapped.memo = memo
+    wrapped.__wrapped__ = fun
+    return wrapped
+
+
 def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
     """Objective of the limit descent over (interior v, per-cell bbar).
 
-    Returns (fun, x0, split): ``fun(vec) -> (J, dJ/dvec)``, the start
-    (affine datum, zero bbar), and ``split(vec) -> (v nodal, bbar)``.
+    Returns (fun, x0, split): ``fun(vec) -> (J, dJ/dvec)``, memoized per
+    vector (``_memoized``), the start (affine datum, zero bbar), and
+    ``split(vec) -> (v nodal, bbar)``.  Memoizing is exact: a repeated
+    vector finds every density key in the source's cache or table, so a
+    fresh evaluation would return the same bits.
     """
     datum = sheet_affine_values(sheet, fbar_bc)
     ell_v, ell_b = _limit_load_vectors(loads, sheet)
@@ -522,7 +588,7 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
                                     (dB - ell_b).ravel()])
 
     x0 = np.concatenate([datum[1:n1, 1:n2, :].ravel(), np.zeros(n1 * n2 * 3)])
-    return fun, x0, split
+    return _memoized(fun), x0, split
 
 
 def minimize_limit(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc,

@@ -1,5 +1,7 @@
 """Trilinear fields, scaled gradients, and energy assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from filmcell.field import (FULLY_PERIODIC, LATERAL_AFFINE, LATERAL_PERIODIC,
                             refine_mesh, scaled_gradient, transverse_average,
                             unpack)
 from filmcell.integrand import MaterialPoint, pnorm_density, two_well_density
+from filmcell.thinfilm import SheetMesh
+import filmcell.field as field_mod
 from oracles import rel_err
 
 W2 = pnorm_density(2.0)
@@ -302,3 +306,39 @@ def test_operator_cache_keys_on_geometry():
     for mesh in (a, b):
         G = scaled_gradient(DiscreteField(mesh, affine_values(mesh, fbar)))
         assert np.allclose(G[..., 0, 0], 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("mesh", [
+    CellMesh(2, 3, 4),
+    CellMesh(2, 3, 4, origin=(0.5, -1.0), lengths=(2.0, 0.3)),
+    CellMesh(3, 1, 2, quadrature="midpoint"),
+    SheetMesh(4, 2, origin=(1.0, -1.0), lengths=(2.0, 1.0)),
+    SheetMesh(3, 3),
+])
+def test_cached_quadrature_is_read_only_and_fresh(mesh):
+    dim = len(mesh.counts)
+    origin = tuple(mesh.origin) + ((-1.0,) if dim == 3 else ())
+    coords = mesh.quad_coords()
+    weights = mesh.quad_weights()
+    assert mesh.quad_coords() is coords and mesh.quad_weights() is weights
+    fresh_coords = field_mod._quad_coords.__wrapped__(
+        mesh.counts, origin, mesh.spacings, mesh.quadrature)
+    fresh_weights = field_mod._quad_weights.__wrapped__(
+        mesh.counts, mesh.spacings, mesh.quadrature)
+    assert weights.tobytes() == fresh_weights.tobytes()
+    for got, want in zip(coords, fresh_coords):
+        assert got.tobytes() == want.tobytes()
+    for arr in coords + (weights,):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    # Independent formula: tensor Gauss points, first axis slowest.
+    t = ([0.5] if mesh.quadrature == "midpoint"
+         else [0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    xi = list(itertools.product(t, repeat=dim))
+    for cell in np.ndindex(*mesh.counts):
+        for q, point in enumerate(xi):
+            for a in range(dim):
+                want = origin[a] + (cell[a] + point[a]) * mesh.spacings[a]
+                assert coords[a][cell + (q,)] == pytest.approx(want, rel=0, abs=1e-14)
+    assert np.isclose(weights.sum(), np.prod(mesh.spacings) * np.prod(mesh.counts))

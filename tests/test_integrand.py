@@ -87,6 +87,42 @@ def test_stress_matches_fd(make):
 
 # -- modulations -------------------------------------------------------------
 
+def _energy_stress_cases():
+    rng = np.random.default_rng(21)
+    A = rng.normal(size=(9, 9))
+    well = np.array([[0.4, 0.2, 0.0], [0.0, 0.0, 0.0], [-0.1, 0.0, 0.3]])
+    lam = TransverseLaminate((1.0, 3.0), (0.0,))
+    check = PlanarCheckerboard((1.0, 2.0), 0.5)
+    return [
+        ("p2", pnorm_density(2.0), 0),
+        ("p3-zero-rows", pnorm_density(3.0, scale=1.5), 5),
+        ("aniso-full-C", aniso_quadratic_density(cmat=A @ A.T + 9.0 * np.eye(9)), 0),
+        ("two-well-ties", two_well_density(well), 6),
+        ("laminate", pnorm_density(2.0, modulation=lam), 0),
+        ("checkerboard", pnorm_density(3.0, modulation=check), 3),
+    ]
+
+
+@pytest.mark.parametrize("label,W,n_zero", _energy_stress_cases())
+def test_energy_stress_array_matches_separate_calls_bitwise(label, W, n_zero):
+    rng = np.random.default_rng(len(label))
+    F = rng.normal(size=(40, 3, 3))
+    F[:n_zero] = 0.0
+    if label == "two-well-ties":
+        # F orthogonal to the well, A2 = -A1: |F - A1|^2 == |F + A1|^2 exactly
+        F[n_zero:12] = 0.0
+        F[n_zero:12, 1, :] = rng.normal(size=(12 - n_zero, 3))
+        d1, d2 = W.family._dists(F)
+        assert np.sum(d1 == d2) >= 12
+    xa = rng.uniform(0.0, 1.0, (40, 2))
+    x3 = rng.uniform(-1.0, 1.0, 40)
+    modv = W.modulation_values(xa, x3)
+    e, S = W.energy_stress_array(modv, F)
+    assert e.tobytes() == W.energy_array(modv, F).tobytes()
+    assert S.tobytes() == W.stress_array(modv, F).tobytes()
+    assert e.shape == (40,) and S.shape == (40, 3, 3)
+
+
 def test_laminate_modulation_layers():
     a = TransverseLaminate((1.0, 3.0), (0.0,))
     assert a.value(np.array([0.5, 0.5]), -0.5) == 1.0

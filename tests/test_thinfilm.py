@@ -372,6 +372,137 @@ def test_source_rounding_keys_unchanged():
     assert f.tobytes() + zz.tobytes() == np.zeros(9).tobytes()
 
 
+def _numpy_rounded_bytes(fbar, z):
+    """Reference key bytes: np.round(., 12), then + 0.0 to clear -0.0."""
+    f = np.round(np.asarray(fbar, dtype=float).reshape(3, 2), 12) + 0.0
+    zz = np.round(np.asarray(z, dtype=float).reshape(3), 12) + 0.0
+    return f.tobytes(), zz.tobytes()
+
+
+def _rounding_cases():
+    rng = np.random.default_rng(17)
+    ties = (np.arange(-40, 40) + 0.5) * 1e-12
+    singles = np.concatenate([
+        ties, ties + 1.0, ties - 3.0,
+        [-0.0, 0.0, -1e-14, 1e-14, 5e-13, -5e-13, 4.9999999999999e-13],
+        [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310],
+        9990.0 + 20.0 * rng.random(40), -(9990.0 + 20.0 * rng.random(40)),
+        [1e200, -1e200, 1.2345678901234567e200, 1e16, 2.0 ** 53 + 1.0],
+        rng.normal(size=60) * 10.0 ** rng.integers(-16, 6, 60),
+    ])
+    for start in range(0, singles.size, 9):
+        chunk = np.resize(singles[start:start + 9], 9)
+        yield chunk[:6].reshape(3, 2), chunk[6:]
+        yield chunk[:6].reshape(3, 2).tolist(), chunk[6:].tolist()
+        yield chunk[:6].tolist(), list(chunk[6:])
+    yield [[0.5, 0], [0, -0.3], [0, 0.2]], [0, -1e-13, 1]
+
+
+def test_rounded_values_match_numpy_round_bitwise():
+    for fbar, z in _rounding_cases():
+        values = thinfilm._rounded_values(fbar, z)
+        assert all(type(v) is float for v in values)
+        assert np.array(values).tobytes() == b"".join(_numpy_rounded_bytes(fbar, z))
+        f, zz = thinfilm._round_point(fbar, z)
+        assert (f.tobytes(), zz.tobytes()) == _numpy_rounded_bytes(fbar, z)
+
+
+def test_both_sources_use_numpy_rounded_arguments():
+    from types import SimpleNamespace
+
+    cell = CellDensitySource(W_QUAD, SMALL_CELL)
+    fake = SimpleNamespace(grid=SimpleNamespace(z_axes=((("frozen", 0.0),) * 3),
+                                                x_points=((0.5, 0.5),)),
+                           provenance={})
+    table = TableDensitySource(fake)
+    seen = []
+    table._interp = lambda tab, x, fbar, z: seen.append((fbar, z)) or (0.0, fbar, z)
+    for fbar, z in _rounding_cases():
+        want = _numpy_rounded_bytes(fbar, z)
+        # A hit on the reference key proves the cell source built that key.
+        sentinel = (float(len(cell.cache)), None, None)
+        cell.cache[((0.0, 0.0),) + want] = sentinel
+        assert cell.evaluate((0.3, 0.7), fbar, z) is sentinel
+        table.evaluate((0.3, 0.7), fbar, z)
+        assert (seen[-1][0].tobytes(), seen[-1][1].tobytes()) == want
+    assert cell.solves == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_rounding_rejects_non_finite_arguments(bad):
+    fbar = FBAR.copy()
+    fbar[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        thinfilm._rounded_values(fbar, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        CellDensitySource(W_QUAD, SMALL_CELL).evaluate((0.5, 0.5), FBAR, [0.0, bad, 0.0])
+    with pytest.raises(ValueError, match="3x2 fbar"):
+        thinfilm._rounded_values(FBAR, np.zeros(2))
+
+
+class _CountingSource:
+    """Deterministic rounded quadratic density that counts its lookups."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, x_alpha, fbar, z):
+        self.calls += 1
+        fbar, z = thinfilm._round_point(fbar, z)
+        return float(np.sum(fbar ** 2) + 1.5 * np.sum(z ** 2)), 2.0 * fbar, 3.0 * z
+
+
+GAMMA_LOADS = LoadSystem(f=[0.1, 0.0, 0.0], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+
+
+def test_limit_objective_memo_skips_repeated_points():
+    from filmcell.solvers import SolverConfig
+
+    assert thinfilm._LIMIT_MEMO_SIZE >= SolverConfig().max_backtracks + 1
+    source = _CountingSource()
+    sheet = SheetMesh(2, 2)
+    fun, x0, _ = thinfilm._limit_objective(source, sheet, GAMMA_LOADS, FBAR)
+    val, grad = fun(x0.copy())
+    calls = source.calls
+    assert calls == 16      # one lookup per quadrature point
+    val2, grad2 = fun(x0.copy())
+    assert source.calls == calls
+    assert val2 == val and np.array_equal(grad2, grad)
+    assert not grad.flags.writeable
+    fresh = fun.__wrapped__(x0.copy())
+    assert fresh[0] == val and fresh[1].tobytes() == grad.tobytes()
+    rng = np.random.default_rng(4)
+    for _ in range(2 * thinfilm._LIMIT_MEMO_SIZE):
+        fun(x0 + 0.01 * rng.normal(size=x0.shape))
+        assert len(fun.memo) <= thinfilm._LIMIT_MEMO_SIZE
+    assert len(fun.memo) == thinfilm._LIMIT_MEMO_SIZE
+    calls = source.calls
+    fun(x0.copy())      # evicted first-in: evaluated again
+    assert source.calls == calls + 16
+
+
+def test_memoized_descent_matches_plain_descent():
+    from filmcell.solvers import SolverConfig, minimize_lbfgs
+
+    # Unreachable tolerance: the descent stalls at the rounding floor and
+    # retries the same trial points from an unchanged x.
+    cfg = SolverConfig(max_iter=40, grad_tol=1e-14)
+    runs = []
+    for memoized in (True, False):
+        source = _CountingSource()
+        fun, x0, _ = thinfilm._limit_objective(source, SheetMesh(2, 2), GAMMA_LOADS, FBAR)
+        runs.append((minimize_lbfgs(fun if memoized else fun.__wrapped__, x0, cfg),
+                     source.calls))
+    (memo, memo_calls), (plain, plain_calls) = runs
+    assert memo_calls * 4 < plain_calls
+    assert memo.x.tobytes() == plain.x.tobytes()
+    assert (memo.value, memo.grad_norm, memo.iterations, memo.n_evals,
+            memo.converged, memo.status) == (plain.value, plain.grad_norm,
+                                             plain.iterations, plain.n_evals,
+                                             plain.converged, plain.status)
+    assert memo.status == "max_iter"
+
+
 def test_cell_source_gradients_match_differences():
     source = CellDensitySource(W_LAM, SMALL_CELL)
     z = np.array([0.1, 0.0, 0.3])
