@@ -471,6 +471,15 @@ def test_limit_objective_memo_skips_repeated_points():
     assert not grad.flags.writeable
     fresh = fun.__wrapped__(x0.copy())
     assert fresh[0] == val and fresh[1].tobytes() == grad.tobytes()
+    for k in (0, x0.size - 1):
+        x1 = x0.copy()
+        x1[k] += 1e-3           # one entry apart: a different point
+        before = source.calls
+        val1, grad1 = fun(x1)
+        assert source.calls == before + 16
+        want = fun.__wrapped__(x1)
+        assert val1 == want[0] and grad1.tobytes() == want[1].tobytes()
+        assert val1 != val
     rng = np.random.default_rng(4)
     for _ in range(2 * thinfilm._LIMIT_MEMO_SIZE):
         fun(x0 + 0.01 * rng.normal(size=x0.shape))
