@@ -49,7 +49,9 @@ from .field import (
     LATERAL_ZERO, LATERAL_PERIODIC, FULLY_PERIODIC,
     pack, unpack, affine_values, inject, kinematic_operator, refine_mesh,
 )
-from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize, golden_section
+from .solvers import SolverConfig, multistart_minimize, golden_section
+# Unused here; kept importable because ``perfbench/tracer.py`` patches it.
+from .solvers import minimize_lbfgs  # noqa: F401
 
 __all__ = [
     "LSearchConfig", "InnerConfig", "CellProblemSpec", "CellSolution",
@@ -57,6 +59,11 @@ __all__ = [
     "cosserat_density", "minimize_over_z", "quasiconvexify",
     "lamination_upper_bound", "QuasiconvexSurrogate", "refinement_ladder",
 ]
+
+L_FLAT_REL = 1e-9          # L-profile variation treated as flat
+SURROGATE_SUBMESH = 4      # cells per axis of the quasiconvexification sub-mesh
+SURROGATE_QUANT = 1e-3     # lattice spacing of quantized surrogate arguments
+LAMINATION_GRID = 33       # offsets t scanned per rank-one direction
 
 
 class CellSolveError(RuntimeError):
@@ -76,7 +83,6 @@ class LSearchConfig:
     l_max: float = 1e2
     grid_count: int = 17
     golden_tol: float = 0.02      # bracket width on the log10 scale
-    flat_rel: float = 1e-9        # profile variation treated as flat
 
     def __post_init__(self):
         if not (0.0 < self.l_min < self.l_max):
@@ -98,11 +104,9 @@ class InnerConfig:
     multistart: int = 3
     perturb_scale: float = 0.1
     seed: int = 0
-    history: int = 10
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(max_iter=self.max_iter, grad_tol=self.grad_tol,
-                            history=self.history)
+        return SolverConfig(max_iter=self.max_iter, grad_tol=self.grad_tol)
 
 
 @dataclass
@@ -116,8 +120,6 @@ class CellProblemSpec:
     l_search: LSearchConfig = LSearchConfig()
     inner: InnerConfig = InnerConfig()
     tol: float = 1e-8
-    surrogate_submesh: int = 4
-    surrogate_quant: float = 1e-3
 
     def __post_init__(self):
         self.fbar = np.asarray(self.fbar, dtype=float).reshape(3, 2)
@@ -244,12 +246,9 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
                         constrained=constrained)
     starts = [(label, pack(vals, mesh)) for label, vals in
               _base_starts(W, mesh, spec, fbar, scale, warm_values)]
-    best, summaries = multistart_minimize(ctx.value_and_grad, starts,
-                                          spec.inner.solver())
+    best, diag = multistart_minimize(ctx.value_and_grad, starts,
+                                     spec.inner.solver())
     full = unpack(ctx.operator.project(best.x), mesh)
-    diag = {"starts": summaries, "grad_norm": best.grad_norm,
-            "iterations": sum(s["iterations"] for s in summaries),
-            "status": best.status}
     return best.value, full, diag
 
 
@@ -272,7 +271,7 @@ def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None):
         warm = vals
     values = np.array([r[0] for r in results])
     vmin = float(values.min())
-    noise = lcfg.flat_rel * (1.0 + abs(vmin))
+    noise = L_FLAT_REL * (1.0 + abs(vmin))
     candidates = np.flatnonzero(values <= vmin + noise)
     i_star = int(min(candidates, key=lambda i: (abs(math.log10(grid[i])), i)))
     warnings = []
@@ -325,9 +324,9 @@ class QuasiconvexSurrogate:
     def __init__(self, W, spec: CellProblemSpec):
         self.W = W
         self.spec = spec
-        n = spec.surrogate_submesh
+        n = SURROGATE_SUBMESH
         self.mesh = CellMesh(n, n, n, boundary_mode=FULLY_PERIODIC)
-        self.quant = spec.surrogate_quant
+        self.quant = SURROGATE_QUANT
         b = W.modulation.bounds()
         self.x3_free = b is not None and b[0] == b[1]
         self.cache: dict = {}
@@ -386,6 +385,28 @@ def _relaxed_value(W, spec, value, vals, mesh, z, l_star, diag):
     return min(value, sur_val)
 
 
+def _scan(W, spec, mode, z, warm_start):
+    """L-scan in boundary ``mode``: (mesh, value, l_star, values, diag)."""
+    mesh = replace(spec.mesh, boundary_mode=mode)
+    warm0 = None if warm_start is None else warm_start.values
+
+    def solve_at(L, warm_values):
+        return _solve_fixed(W, mesh, spec, spec.fbar, z, L, "frozen",
+                            constrained=z is not None, warm_values=warm_values)
+
+    return (mesh,) + _l_scan(solve_at, spec.l_search, warm0)
+
+
+def _lifted_field(mesh, psi, z, l_star, diag):
+    """Field psi + (x3 / L) z targeting z; records its constraint residual."""
+    x3_nodes = mesh.node_coords()[2]
+    phi = psi + x3_nodes[None, None, :, None] * (z / l_star)[None, None, None, :]
+    field = DiscreteField(mesh, phi, {"target": [float(v) for v in z],
+                                      "scale": l_star / 2.0})
+    diag["constraint_residual"] = field.constraint_residual()
+    return field
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -399,14 +420,8 @@ def membrane_density(W: StoredEnergyDensity, spec: CellProblemSpec,
     window.  Diagnostics record the L profile, the zero-field upper bound
     and per-start convergence.
     """
-    mesh = replace(spec.mesh, boundary_mode=LATERAL_ZERO)
-    warm0 = None if warm_start is None else warm_start.values
-
-    def solve_at(L, warm_values):
-        return _solve_fixed(W, mesh, spec, spec.fbar, None, L, "frozen",
-                            warm_values=warm_values)
-
-    value, l_star, vals, diag = _l_scan(solve_at, spec.l_search, warm0)
+    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_ZERO, None,
+                                            warm_start)
     upper0 = EnergyContext(W, mesh, l_star, 0.5, "frozen", spec.x0,
                            spec.fbar, None).value(np.zeros(mesh.node_shape + (3,)))
     diag["upper_bound_zero_field"] = upper0
@@ -428,14 +443,8 @@ def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec,
     re-evaluated through the pointwise quasiconvexification surrogate;
     the flag ``nonconvex_integrand`` marks such runs.
     """
-    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
-    warm0 = None if warm_start is None else warm_start.values
-
-    def solve_at(L, warm_values):
-        return _solve_fixed(W, mesh, spec, spec.fbar, None, L, "frozen",
-                            warm_values=warm_values)
-
-    value, l_star, vals, diag = _l_scan(solve_at, spec.l_search, warm0)
+    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None,
+                                            warm_start)
     value = _relaxed_value(W, spec, value, vals, mesh, None, l_star, diag)
     field = DiscreteField(mesh, vals)
     return CellSolution(float(value), l_star, field, diag,
@@ -445,9 +454,7 @@ def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec,
 def _check_split_bounds(W, spec, value, z, diag):
     """Record (and for p = 2 enforce) the additive growth sandwich."""
     g = W.growth
-    fbar_p = float(np.sum(spec.fbar ** 2)) ** (g.p / 2.0)
-    z_p = 0.0 if z is None else float(np.sum(np.asarray(z) ** 2)) ** (g.p / 2.0)
-    upper = g.beta_upper * (fbar_p + z_p + 1.0)
+    upper = g.beta_upper * (g.split_power(spec.fbar, z) + 1.0)
     diag["split_upper_bound"] = upper
     if value < -spec.tol:
         raise CellSolveError("cell density came out negative", best_value=value,
@@ -475,24 +482,13 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
     """
     if spec.z is None:
         raise ValueError("cosserat_density needs spec.z")
-    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
     z = spec.z
-    warm0 = None if warm_start is None else warm_start.values
-
-    def solve_at(L, warm_values):
-        return _solve_fixed(W, mesh, spec, spec.fbar, z, L, "frozen",
-                            constrained=True, warm_values=warm_values)
-
-    value, l_star, vals, diag = _l_scan(solve_at, spec.l_search, warm0)
+    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, z,
+                                            warm_start)
     value = _relaxed_value(W, spec, value, vals, mesh, z, l_star, diag)
     _check_split_bounds(W, spec, value, z, diag)
-    x3_nodes = mesh.node_coords()[2]
-    phi = vals + x3_nodes[None, None, :, None] * (z / l_star)[None, None, None, :]
-    field = DiscreteField(mesh, phi, {"target": [float(v) for v in z],
-                                      "scale": l_star / 2.0})
-    resid = field.constraint_residual()
-    diag["constraint_residual"] = resid
-    if resid > 1e-12 * (1.0 + float(np.linalg.norm(z))):
+    field = _lifted_field(mesh, vals, z, l_star, diag)
+    if diag["constraint_residual"] > 1e-12 * (1.0 + float(np.linalg.norm(z))):
         raise CellSolveError("transverse-average constraint violated",
                              best_value=value, diagnostics=diag)
     return CellSolution(float(value), l_star, field, diag,
@@ -513,8 +509,6 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
     Returns (CellSolution, b0).
     """
     mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
-    x3_nodes = mesh.node_coords()[2]
-    cfg = spec.inner.solver()
     projector = kinematic_operator(mesh, constrained=True)
     nfree = projector.ndof
 
@@ -525,9 +519,7 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
         z_starts.append(("zf", z_fiber))
     except FiberInfimumError:
         fiber_skipped = True
-    g = W.growth
-    radius = ((g.beta_upper / g.beta_lower)
-              * (float(np.sum(spec.fbar ** 2)) ** (g.p / 2.0) + 1.0)) ** (1.0 / g.p)
+    radius = W.growth.coercivity_radius(spec.fbar)
 
     warm0 = None
     if warm_start is not None:
@@ -554,22 +546,9 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
             for zlabel, z0 in z_combos:
                 starts.append((f"{flabel}/{zlabel}",
                                np.concatenate([fvec, z0])))
-        best = None
-        cands = []
-        summaries = []
-        for label, x0vec in starts:
-            res = minimize_lbfgs(fun, x0vec, cfg)
-            summaries.append({"start": label, "value": res.value,
-                              "iterations": res.iterations, "status": res.status})
-            cands.append(res)
-            if best is None or res.value < best.value - 1e-12 * (1.0 + abs(best.value)):
-                best = res
-        tie_tol = 1e-9 * (1.0 + abs(best.value))
-        tie = [r for r in cands if r.value <= best.value + tie_tol]
-        best = min(tie, key=lambda r: float(np.linalg.norm(r.x[nfree:])))
-        diag = {"starts": summaries, "grad_norm": best.grad_norm,
-                "iterations": sum(s["iterations"] for s in summaries),
-                "status": best.status}
+        best, diag = multistart_minimize(
+            fun, starts, spec.inner.solver(),
+            prefer=lambda r: float(np.linalg.norm(r.x[nfree:])))
         return best.value, best.x, diag
 
     value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, warm0)
@@ -582,10 +561,7 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
     if float(np.linalg.norm(b0)) > radius + 1e-6:
         diag.setdefault("warnings", []).append("b0-outside-coercivity-radius")
     _check_split_bounds(W, spec, value, b0, diag)
-    phi = psi + x3_nodes[None, None, :, None] * (b0 / l_star)[None, None, None, :]
-    field = DiscreteField(mesh, phi, {"target": [float(v) for v in b0],
-                                      "scale": l_star / 2.0})
-    diag["constraint_residual"] = field.constraint_residual()
+    field = _lifted_field(mesh, psi, b0, l_star, diag)
     sol = CellSolution(float(value), l_star, field, diag,
                        _spec_hash(W, spec, "minimize-over-z"))
     return sol, b0
@@ -620,15 +596,13 @@ def quasiconvexify(W: StoredEnergyDensity, F, spec: CellProblemSpec,
                         _spec_hash(W, spec, "quasiconvexify"))
 
 
-def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None, direction=None,
-                           t_max=None, grid=33) -> float:
+def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None) -> float:
     """First-order lamination bound on the quasiconvexification at F.
 
     Minimizes s W(F + (1-s) t R) + (1-s) W(F - s t R) over volume
     fractions s in [0, 1] and offsets t >= 0, where R is a unit rank-one
-    matrix.  ``direction`` may supply the pair (a, n); by default a
-    coarse set of axis and diagonal directions is scanned and two-well
-    families contribute their own rank-one axis.  Always at most
+    matrix.  A coarse set of axis and diagonal directions is scanned and
+    two-well families contribute their own rank-one axis.  Always at most
     W(x0; F) since t = 0 is admissible.
     """
     F = np.asarray(F, dtype=float).reshape(3, 3)
@@ -638,25 +612,20 @@ def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None, direction=None,
     def energy(M):
         return a_mod * float(W.family.energy(M))
 
-    if t_max is None:
-        wells = getattr(W.family, "wells", ())
-        wmax = max((float(np.abs(A).max()) for A in wells), default=0.0)
-        t_max = 2.0 * (float(np.linalg.norm(F)) + 3.0 * wmax + 1.0)
+    wells = getattr(W.family, "wells", ())
+    wmax = max((float(np.abs(A).max()) for A in wells), default=0.0)
+    t_max = 2.0 * (float(np.linalg.norm(F)) + 3.0 * wmax + 1.0)
 
     pairs = []
-    if direction is not None:
-        pairs.append((np.asarray(direction[0], dtype=float),
-                      np.asarray(direction[1], dtype=float)))
-    else:
-        fam_pair = getattr(W.family, "rank_one", None)
-        if fam_pair is not None:
-            pairs.append(fam_pair)
-        eyes = [np.eye(3)[i] for i in range(3)]
-        diags = [(eyes[0] + eyes[1]) / np.sqrt(2.0),
-                 (eyes[0] - eyes[1]) / np.sqrt(2.0)]
-        for a_vec in eyes:
-            for n_vec in eyes + diags:
-                pairs.append((a_vec, n_vec))
+    fam_pair = getattr(W.family, "rank_one", None)
+    if fam_pair is not None:
+        pairs.append(fam_pair)
+    eyes = [np.eye(3)[i] for i in range(3)]
+    diags = [(eyes[0] + eyes[1]) / np.sqrt(2.0),
+             (eyes[0] - eyes[1]) / np.sqrt(2.0)]
+    for a_vec in eyes:
+        for n_vec in eyes + diags:
+            pairs.append((a_vec, n_vec))
 
     best = energy(F)
     for a_vec, n_vec in pairs:
@@ -671,14 +640,14 @@ def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None, direction=None,
                     + (1.0 - s) * energy(F - s * t * R))
 
         s_grid = np.linspace(0.0, 1.0, 21)
-        t_grid = np.linspace(0.0, t_max, grid)
+        t_grid = np.linspace(0.0, t_max, LAMINATION_GRID)
         vals = np.array([[lam(s, t) for t in t_grid] for s in s_grid])
         i, j = np.unravel_index(np.argmin(vals), vals.shape)
         s0, t0 = float(s_grid[i]), float(t_grid[j])
         for _ in range(3):
             t0, _ = golden_section(lambda t: lam(s0, t),
-                                   max(t0 - t_max / grid, 0.0),
-                                   min(t0 + t_max / grid, t_max), tol=1e-6)
+                                   max(t0 - t_max / LAMINATION_GRID, 0.0),
+                                   min(t0 + t_max / LAMINATION_GRID, t_max), tol=1e-6)
             s0, _ = golden_section(lambda s: lam(s, t0),
                                    max(s0 - 0.05, 0.0), min(s0 + 0.05, 1.0),
                                    tol=1e-6)

@@ -92,7 +92,6 @@ def _finish(command, body, meta, out_dir, export=None, csv_writer=None,
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{command}.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         report["meta"]["report_path"] = str(path)
         if export == "csv" and csv_writer is not None:
             csv_path = out / f"{command}.csv"
@@ -121,6 +120,16 @@ def _solution_body(resolved, W, sol, **extra):
     return body
 
 
+def _quantities_csv(**quantities):
+    """CSV writer of a ``quantity,value`` table, one row per keyword."""
+    def write(path):
+        with open(path, "w") as fh:
+            fh.write("quantity,value\n")
+            for name, value in quantities.items():
+                fh.write(f"{name},{value!r}\n")
+    return write
+
+
 def _warn_exit(sol):
     return 2 if BOUNDARY_WARNING in sol.warnings else 0
 
@@ -143,14 +152,9 @@ def cmd_density(config, out_dir=None, export=None, argv=None):
     else:
         raise ConfigError("config key 'cell.form' must be 'zero' or 'periodic'")
     body = _solution_body(resolved, W, sol, command="density", form=form)
-
-    def csv_writer(path):
-        with open(path, "w") as fh:
-            fh.write("quantity,value\n")
-            fh.write(f"value,{sol.value!r}\nl_star,{sol.l_star!r}\n")
-
     return _finish("density", body, _meta(t0, argv), out_dir, export,
-                   csv_writer, _warn_exit(sol))
+                   _quantities_csv(value=sol.value, l_star=sol.l_star),
+                   _warn_exit(sol))
 
 
 def cmd_cosserat(config, out_dir=None, export=None, argv=None):
@@ -162,14 +166,9 @@ def cmd_cosserat(config, out_dir=None, export=None, argv=None):
     sol = cosserat_density(W, spec)
     body = _solution_body(resolved, W, sol, command="cosserat",
                           z=resolved["cell"]["z"])
-
-    def csv_writer(path):
-        with open(path, "w") as fh:
-            fh.write("quantity,value\n")
-            fh.write(f"value,{sol.value!r}\nl_star,{sol.l_star!r}\n")
-
     return _finish("cosserat", body, _meta(t0, argv), out_dir, export,
-                   csv_writer, _warn_exit(sol))
+                   _quantities_csv(value=sol.value, l_star=sol.l_star),
+                   _warn_exit(sol))
 
 
 def cmd_qcx(config, out_dir=None, export=None, argv=None):
@@ -187,14 +186,9 @@ def cmd_qcx(config, out_dir=None, export=None, argv=None):
     raw = W.evaluate(x0, F)
     body = _solution_body(resolved, W, sol, command="qcx", F=F.tolist(),
                           raw_value=raw, relaxation_gap=raw - sol.value)
-
-    def csv_writer(path):
-        with open(path, "w") as fh:
-            fh.write("quantity,value\n")
-            fh.write(f"value,{sol.value!r}\nraw_value,{raw!r}\n")
-
     return _finish("qcx", body, _meta(t0, argv), out_dir, export,
-                   csv_writer, _warn_exit(sol))
+                   _quantities_csv(value=sol.value, raw_value=raw),
+                   _warn_exit(sol))
 
 
 def cmd_gamma(config, out_dir=None, export=None, argv=None):
@@ -342,14 +336,9 @@ def _check_identity_minz(ctx):
 
 
 def _check_bounds(ctx):
-    g = ctx.W.growth
     spec = ctx.spec_z
     sol = cosserat_density(ctx.W, spec)
-    s = (float(np.sum(spec.fbar ** 2)) ** (g.p / 2.0)
-         + float(np.sum(spec.z ** 2)) ** (g.p / 2.0))
-    slack = spec.tol * (1.0 + s)
-    lo = g.beta_lower * s - slack
-    up = g.beta_upper * (s + 1.0) + slack
+    lo, up = ctx.W.growth.sandwich(spec.fbar, spec.z, spec.tol)
     return lo <= sol.value <= up, {"value": sol.value, "lower": lo, "upper": up}
 
 

@@ -300,14 +300,6 @@ class CellMesh:
         return (self.lengths[0] / self.n1, self.lengths[1] / self.n2, 2.0 / self.n3)
 
     @property
-    def volume(self):
-        return self.lengths[0] * self.lengths[1] * 2.0
-
-    @property
-    def area(self):
-        return self.lengths[0] * self.lengths[1]
-
-    @property
     def node_shape(self):
         return (self.n1 + 1, self.n2 + 1, self.n3 + 1)
 
@@ -347,25 +339,6 @@ class DiscreteField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-    @classmethod
-    def zeros(cls, mesh: CellMesh):
-        return cls(mesh, np.zeros(mesh.node_shape + (3,)))
-
-    @classmethod
-    def from_function(cls, mesh: CellMesh, fn):
-        x1, x2, x3 = mesh.node_coords()
-        X1 = x1[:, None, None]
-        X2 = x2[None, :, None]
-        X3 = x3[None, None, :]
-        vals = np.asarray(fn(X1, X2, X3), dtype=float)
-        vals = np.broadcast_to(vals, mesh.node_shape + (3,)).copy()
-        return cls(mesh, vals)
-
-    def copy(self):
-        return DiscreteField(self.mesh, self.values.copy(),
-                             None if self.constraint_meta is None
-                             else dict(self.constraint_meta))
 
     def constraint_residual(self) -> float:
         """Deviation of the transverse average from its declared target."""
@@ -633,17 +606,13 @@ def refine_mesh(mesh: CellMesh) -> CellMesh:
     return replace(mesh, n1=2 * mesh.n1, n2=2 * mesh.n2, n3=2 * mesh.n3)
 
 
-def inject(field: DiscreteField, fine_mesh: CellMesh | None = None) -> DiscreteField:
+def inject(field: DiscreteField) -> DiscreteField:
     """Embed a field into the dyadically refined mesh.
 
     New nodes take the trilinear interpolant values, so the injected
     field represents the same function and every energy integral that
     the quadrature evaluates exactly is preserved to roundoff.
     """
-    mesh = field.mesh
-    fine = fine_mesh or refine_mesh(mesh)
-    if (fine.n1, fine.n2, fine.n3) != (2 * mesh.n1, 2 * mesh.n2, 2 * mesh.n3):
-        raise ValueError("inject expects the dyadic refinement of the coarse mesh")
     u = field.values
     for axis in range(3):
         n_old = u.shape[axis]
@@ -661,6 +630,6 @@ def inject(field: DiscreteField, fine_mesh: CellMesh | None = None) -> DiscreteF
         sl_hi[axis] = slice(1, n_old)
         out[tuple(sl_odd)] = 0.5 * (u[tuple(sl_lo)] + u[tuple(sl_hi)])
         u = out
-    return DiscreteField(fine, u,
+    return DiscreteField(refine_mesh(field.mesh), u,
                          None if field.constraint_meta is None
                          else dict(field.constraint_meta))

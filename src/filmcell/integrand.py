@@ -107,6 +107,28 @@ class GrowthSpec:
     def upper(self, fnorm):
         return self.beta_upper * (np.asarray(fnorm) ** self.p + 1.0)
 
+    def split_power(self, fbar, z=None):
+        """|fbar|^p + |z|^p, the growth term of the split argument (fbar | z)."""
+        total = float(np.sum(np.asarray(fbar) ** 2)) ** (self.p / 2.0)
+        if z is not None:
+            total += float(np.sum(np.asarray(z) ** 2)) ** (self.p / 2.0)
+        return total
+
+    def sandwich(self, fbar, z, tol):
+        """Growth bounds at (fbar | z), each widened by tol * (1 + split_power)."""
+        total = self.split_power(fbar, z)
+        slack = tol * (1.0 + total)
+        return (self.beta_lower * total - slack,
+                self.beta_upper * (total + 1.0) + slack)
+
+    def coercivity_radius(self, fbar):
+        """Radius of the ball holding every minimizer z of W(join(fbar, z)).
+
+        From beta_lower |z|^p <= W(join(fbar, 0)) <= beta_upper (|fbar|^p + 1).
+        """
+        return ((self.beta_upper / self.beta_lower)
+                * (self.split_power(fbar) + 1.0)) ** (1.0 / self.p)
+
 
 @dataclass(frozen=True)
 class MaterialPoint:
@@ -552,7 +574,7 @@ class StoredEnergyDensity:
 
     # -- fiber problem ------------------------------------------------------
 
-    def fiber_infimum(self, x, fbar, solver: SolverConfig | None = None):
+    def fiber_infimum(self, x, fbar):
         """Infimum of z -> W(x; join(fbar, z)) over transverse vectors.
 
         Multistart quasi-Newton from the zero vector, the plus/minus
@@ -566,11 +588,7 @@ class StoredEnergyDensity:
         self._check_domain(pt)
         fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
         a = float(self.modulation.value(np.asarray(pt.x_alpha), pt.x3))
-        g = self.growth
-        # Any minimizer satisfies bl*|z|^p <= W(join(fbar, z*)) <= W(join(fbar, 0))
-        # and the upper growth bound at z = 0 caps the right-hand side.
-        radius = ((g.beta_upper / g.beta_lower)
-                  * (float(np.sum(fbar * fbar)) ** (g.p / 2.0) + 1.0)) ** (1.0 / g.p)
+        radius = self.growth.coercivity_radius(fbar)
 
         def fun(z):
             F = join(fbar, z)
@@ -584,13 +602,13 @@ class StoredEnergyDensity:
                    for i, z0 in enumerate(self.family.fiber_starts(fbar))]
         starts = [(lab, z0) for lab, z0 in starts
                   if float(np.linalg.norm(z0)) <= radius + 1e-9]
-        cfg = solver or SolverConfig(max_iter=200, grad_tol=1e-10)
-        best, summaries = multistart_minimize(fun, starts, cfg)
+        best, diag = multistart_minimize(
+            fun, starts, SolverConfig(max_iter=200, grad_tol=1e-10))
         if best is None or not best.converged:
             raise FiberInfimumError(
                 "fiber infimum did not converge within the multistart budget",
                 best_value=None if best is None else best.value,
-                summaries=summaries)
+                summaries=diag["starts"])
         return best.value, best.x
 
     # -- provenance ---------------------------------------------------------

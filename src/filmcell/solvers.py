@@ -6,17 +6,20 @@ contract used throughout the package: stop once the gradient norm falls
 below ``grad_tol * (1 + |value|)`` or after ``max_iter`` iterations.
 Accepted steps never increase the objective, which the refinement
 monotonicity tests rely on.  The decrease is not strict: once
-``armijo_c * step * slope`` falls below half an ulp of the value, the
+``ARMIJO_C * step * slope`` falls below half an ulp of the value, the
 Armijo test accepts a step with an unchanged value, so a descent whose
 gradient cannot reach the threshold at working precision keeps taking
 such steps until ``max_iter``.
+
+Fixed constants: ``HISTORY`` (curvature pairs kept), ``ARMIJO_C``,
+``STEP_SHRINK`` and ``MAX_BACKTRACKS`` (line search), ``GOLDEN_MAX_ITER``.
 
 All routines are deterministic: no randomness, fixed evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +32,13 @@ __all__ = [
 ]
 
 
+HISTORY = 10
+ARMIJO_C = 1e-4
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 50
+GOLDEN_MAX_ITER = 60
+
+
 @dataclass
 class SolverConfig:
     """Parameters of the descent loop.
@@ -39,10 +49,6 @@ class SolverConfig:
 
     max_iter: int = 500
     grad_tol: float = 1e-8
-    history: int = 10
-    armijo_c: float = 1e-4
-    step_shrink: float = 0.5
-    max_backtracks: int = 50
 
 
 @dataclass
@@ -109,14 +115,14 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None) -> SolveResult:
         f_new = f
         g_new = g
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_new, g_new = fun(x_new)
             n_evals += 1
-            if f_new <= f + cfg.armijo_c * step * slope:
+            if f_new <= f + ARMIJO_C * step * slope:
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             status, converged = "line_search", True
             break
@@ -127,7 +133,7 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None) -> SolveResult:
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.history:
+            if len(s_list) > HISTORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
@@ -145,7 +151,7 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None) -> SolveResult:
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_section(fun, a, b, tol=1e-3, max_iter=60):
+def golden_section(fun, a, b, tol=1e-3):
     """Golden-section search for a scalar minimum on [a, b].
 
     Assumes a unimodal profile on the bracket; returns (x, fun(x)).
@@ -155,7 +161,7 @@ def golden_section(fun, a, b, tol=1e-3, max_iter=60):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc <= fd:
@@ -171,19 +177,27 @@ def golden_section(fun, a, b, tol=1e-3, max_iter=60):
     return d, fd
 
 
-def multistart_minimize(fun, starts, config: SolverConfig | None = None):
+def multistart_minimize(fun, starts, config: SolverConfig | None = None,
+                        prefer=None):
     """Run the descent from each start and keep the best result.
 
     ``starts`` is a sequence of (label, x0) pairs.  Ties in final value
     (within 1e-12 relative) resolve to the earliest start, which makes
-    the outcome independent of dict ordering quirks.
+    the outcome independent of dict ordering quirks.  With ``prefer``,
+    the winner is the first result of smallest ``prefer(result)`` within
+    1e-9 * (1 + |best|) of that pick.
 
-    Returns (best SolveResult, list of per-start summary dicts).
+    Returns (best SolveResult, diag): per-start summaries (start, value,
+    grad_norm, iterations, status) under "starts", then, unless no start
+    was given (best None), the winner's grad_norm, the iterations summed
+    over all starts and the winner's status.
     """
     best = None
+    results = []
     summaries = []
     for label, x0 in starts:
         res = minimize_lbfgs(fun, x0, config)
+        results.append(res)
         summaries.append({
             "start": label,
             "value": res.value,
@@ -193,4 +207,13 @@ def multistart_minimize(fun, starts, config: SolverConfig | None = None):
         })
         if best is None or res.value < best.value - 1e-12 * max(1.0, abs(best.value)):
             best = res
-    return best, summaries
+    diag = {"starts": summaries}
+    if best is None:
+        return None, diag
+    if prefer is not None:
+        band = best.value + 1e-9 * (1.0 + abs(best.value))
+        best = min((r for r in results if r.value <= band), key=prefer)
+    diag.update(grad_norm=best.grad_norm,
+                iterations=sum(s["iterations"] for s in summaries),
+                status=best.status)
+    return best, diag

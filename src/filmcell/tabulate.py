@@ -191,16 +191,6 @@ def _template_config(template: CellProblemSpec):
     return cfg
 
 
-def _sandwich_ok(W: StoredEnergyDensity, fbar, z, value, tol):
-    g = W.growth
-    total = float(np.sum(fbar ** 2)) ** (g.p / 2.0)
-    if z is not None:
-        total += float(np.sum(z ** 2)) ** (g.p / 2.0)
-    slack = tol * (1.0 + total)
-    return (g.beta_lower * total - slack <= value
-            <= g.beta_upper * (total + 1.0) + slack)
-
-
 def _solve_node(W, grid, kind, template, flat_index):
     x_alpha, fbar, z = grid.node_args(flat_index)
     spec = replace(template, fbar=fbar, z=z,
@@ -213,7 +203,8 @@ def _solve_node(W, grid, kind, template, flat_index):
         value = sol.value
     except CellSolveError:
         return np.nan, INVALID
-    if not _sandwich_ok(W, fbar, z, value, template.tol):
+    lower, upper = W.growth.sandwich(fbar, z, template.tol)
+    if not lower <= value <= upper:
         return value, INVALID
     return value, VALID
 

@@ -49,7 +49,7 @@ from .field import (
     affine_values, grid_operator, kinematic_operator, pack,
     reduce_gradient, transverse_average, unpack, _quad_coords, _quad_weights,
 )
-from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize
+from .solvers import minimize_lbfgs, multistart_minimize
 from .cell import CellProblemSpec, InnerConfig, cosserat_density
 
 __all__ = [
@@ -237,7 +237,7 @@ def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
     return ell
 
 
-def _check_film_field(problem, mesh, u: DiscreteField):
+def _check_film_field(problem, u: DiscreteField):
     if u.mesh.boundary_mode != LATERAL_AFFINE:
         raise ValueError("thin-film fields use the lateral-affine boundary mode")
     datum = problem.boundary_datum(u.mesh)
@@ -258,7 +258,7 @@ def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> flo
     surface loads act on the top and bottom faces, the order-1 pair
     entering as the bending-moment term via the transverse jump.
     """
-    _check_film_field(problem, problem.film_mesh(), u)
+    _check_film_field(problem, u)
     ctx = EnergyContext(problem.W, u.mesh, transverse_scale=1.0 / eps,
                         prefactor=1.0, x_mode="full")
     ell = _load_vector(problem, eps, u.mesh)
@@ -287,12 +287,9 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
         base = pack(datum, mesh)
         for r in range(max(problem.inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
-    best, summaries = multistart_minimize(fun, starts, problem.inner.solver())
+    best, info = multistart_minimize(fun, starts, problem.inner.solver())
     field = DiscreteField(mesh, unpack(best.x, mesh, datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
-    info = {"iterations": sum(s["iterations"] for s in summaries),
-            "grad_norm": best.grad_norm, "status": best.status,
-            "starts": summaries}
     return best.value, field, bbar, info
 
 
@@ -522,7 +519,7 @@ def limit_membrane_energy(source, sheet: SheetMesh, loads: LoadSystem,
 
 
 # Distinct points the limit objective remembers: at least one descent
-# iteration's trial points (SolverConfig.max_backtracks + 1).
+# iteration's trial points (solvers.MAX_BACKTRACKS + 1).
 _LIMIT_MEMO_SIZE = 64
 
 

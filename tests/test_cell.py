@@ -119,7 +119,7 @@ def test_minimize_over_z_picks_the_fiber_vector():
 def test_minimize_over_z_records_a_skipped_fiber_start(monkeypatch):
     W = pnorm_density(2.0)
 
-    def no_fiber(x, fbar, solver=None):
+    def no_fiber(x, fbar):
         raise FiberInfimumError("forced failure")
     monkeypatch.setattr(W, "fiber_infimum", no_fiber)
     sol, b0 = minimize_over_z(W, spec_at(FB))
@@ -214,9 +214,9 @@ def test_lsearch_config_validation():
 
 
 def test_inner_config_maps_to_solver():
-    cfg = InnerConfig(max_iter=42, grad_tol=1e-6, history=5)
+    cfg = InnerConfig(max_iter=42, grad_tol=1e-6)
     sc = cfg.solver()
-    assert (sc.max_iter, sc.grad_tol, sc.history) == (42, 1e-6, 5)
+    assert (sc.max_iter, sc.grad_tol) == (42, 1e-6)
 
 
 # -- reproducibility and refinement ------------------------------------------

@@ -290,3 +290,39 @@ def test_two_well_nonnegative_and_zero_at_wells(seed):
     assert W.evaluate(MID, A) == 0.0
     assert W.evaluate(MID, -A) == 0.0
     assert W.evaluate(MID, rand_F(rng)) >= 0.0
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_growth_helpers_match_inline_formulas(p, seed):
+    rng = np.random.default_rng(seed)
+    g = GrowthSpec(p, 0.7, 1.9)
+    fbar = rng.normal(size=(3, 2))
+    z = rng.normal(size=3)
+    # the formulas the cell, table and CLI bound checks used to spell out
+    fbar_p = float(np.sum(fbar ** 2)) ** (g.p / 2.0)
+    z_p = float(np.sum(np.asarray(z) ** 2)) ** (g.p / 2.0)
+    assert g.split_power(fbar) == fbar_p
+    assert g.split_power(fbar, z) == fbar_p + z_p
+    assert g.beta_upper * (g.split_power(fbar) + 1.0) == g.beta_upper * (fbar_p + 0.0 + 1.0)
+    assert g.split_power(fbar, list(z)) == fbar_p + z_p
+    for total, zz in ((fbar_p + z_p, z), (fbar_p, None)):
+        slack = 1e-8 * (1.0 + total)
+        assert g.sandwich(fbar, zz, 1e-8) == (g.beta_lower * total - slack,
+                                              g.beta_upper * (total + 1.0) + slack)
+    for old in (((g.beta_upper / g.beta_lower)
+                 * (float(np.sum(fbar * fbar)) ** (g.p / 2.0) + 1.0)) ** (1.0 / g.p),
+                ((g.beta_upper / g.beta_lower)
+                 * (float(np.sum(fbar ** 2)) ** (g.p / 2.0) + 1.0)) ** (1.0 / g.p)):
+        assert g.coercivity_radius(fbar) == old
+
+
+def test_fiber_infimum_without_starts_raises_fiber_error():
+    # a non-finite fbar gives a NaN coercivity radius, which drops every start
+    from filmcell.integrand import FiberInfimumError
+
+    W = pnorm_density(2.0)
+    fbar = np.full((3, 2), np.nan)
+    with pytest.raises(FiberInfimumError) as info:
+        W.fiber_infimum(MID, fbar)
+    assert info.value.summaries == [] and info.value.best_value is None

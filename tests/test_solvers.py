@@ -74,9 +74,10 @@ def test_multistart_picks_best():
         v = (x[0] ** 2 - 1.0) ** 2
         g = np.array([4 * x[0] * (x[0] ** 2 - 1.0)])
         return float(v), g
-    best, summaries = multistart_minimize(
+    best, diag = multistart_minimize(
         fun, [("left", np.array([-0.9])), ("right", np.array([0.9])),
               ("hill", np.array([0.0]))])
+    summaries = diag["starts"]
     assert best.value <= min(s["value"] for s in summaries) + 1e-12
     assert {s["start"] for s in summaries} == {"left", "right", "hill"}
 
@@ -85,8 +86,9 @@ def test_multistart_tie_keeps_first():
     # symmetric starts reach equal values; the first one is retained
     def fun(x):
         return float(x[0] ** 2), np.array([2 * x[0]])
-    best, summaries = multistart_minimize(
+    best, diag = multistart_minimize(
         fun, [("a", np.array([1.0])), ("b", np.array([-1.0]))])
+    summaries = diag["starts"]
     assert summaries[0]["start"] == "a"
     assert abs(best.value - summaries[0]["value"]) <= 1e-12
 
@@ -99,3 +101,61 @@ def test_multistart_negative_values():
     best, _ = multistart_minimize(
         fun, [("a", np.array([0.5])), ("b", np.array([-0.5]))])
     assert abs(best.value + 4.0) < 1e-10
+
+
+def test_multistart_diag_matches_per_start_descents():
+    # diag is the dict the cell and film solvers report: one summary per
+    # start, then the winner's grad_norm, summed iterations, winner's status
+    def fun(x):
+        v = (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0]
+        return float(v), np.array([4 * x[0] * (x[0] ** 2 - 1.0) + 0.1])
+    starts = [("left", np.array([-0.9])), ("right", np.array([0.9])),
+              ("far", np.array([2.5]))]
+    cfg = SolverConfig(max_iter=50)
+    best, diag = multistart_minimize(fun, starts, cfg)
+    runs = [minimize_lbfgs(fun, x0, cfg) for _, x0 in starts]
+    summaries = [{"start": label, "value": r.value, "grad_norm": r.grad_norm,
+                  "iterations": r.iterations, "status": r.status}
+                 for (label, _), r in zip(starts, runs)]
+    want = {"starts": summaries, "grad_norm": best.grad_norm,
+            "iterations": sum(s["iterations"] for s in summaries),
+            "status": best.status}
+    assert diag == want
+    assert list(diag) == ["starts", "grad_norm", "iterations", "status"]
+    assert best.value == min(r.value for r in runs) == runs[0].value
+
+
+def _flat(x):
+    # every start is already stationary: the descent returns it unchanged,
+    # with the value stored in x[1] and the preference key in x[0]
+    return float(x[1]), np.zeros_like(x)
+
+
+def _keyed(*pairs):
+    return [(f"s{i}", np.array([key, value])) for i, (key, value) in enumerate(pairs)]
+
+
+def test_multistart_prefer_picks_smallest_key_inside_the_band():
+    prefer = lambda r: float(r.x[0])  # noqa: E731
+    # band is 1e-9 * (1 + |best|) = 2e-9 around best = 1.0
+    starts = _keyed((5.0, 1.0), (1.0, 1.0 + 5e-10), (0.0, 1.0 + 1e-8))
+    plain, _ = multistart_minimize(_flat, starts)
+    assert plain.x[0] == 5.0
+    best, diag = multistart_minimize(_flat, starts, prefer=prefer)
+    assert best.x[0] == 1.0          # smaller key inside the band wins
+    assert diag["grad_norm"] == best.grad_norm and diag["status"] == best.status
+    # a result outside the band never wins, however small its key
+    best, _ = multistart_minimize(_flat, _keyed((3.0, 2.0), (-9.0, 2.0 + 1e-7)),
+                                  prefer=prefer)
+    assert best.x[0] == 3.0
+    # equal keys: the first result wins
+    best, _ = multistart_minimize(
+        _flat, [("a", np.array([1.0, 1.0 + 1e-10])), ("b", np.array([1.0, 1.0]))],
+        prefer=prefer)
+    assert best.x[1] == 1.0 + 1e-10
+
+
+def test_multistart_without_starts():
+    best, diag = multistart_minimize(_flat, [])
+    assert best is None
+    assert diag == {"starts": []}

@@ -456,9 +456,9 @@ GAMMA_LOADS = LoadSystem(f=[0.1, 0.0, 0.0], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4
 
 
 def test_limit_objective_memo_skips_repeated_points():
-    from filmcell.solvers import SolverConfig
+    from filmcell import solvers
 
-    assert thinfilm._LIMIT_MEMO_SIZE >= SolverConfig().max_backtracks + 1
+    assert thinfilm._LIMIT_MEMO_SIZE >= solvers.MAX_BACKTRACKS + 1
     source = _CountingSource()
     sheet = SheetMesh(2, 2)
     fun, x0, _ = thinfilm._limit_objective(source, sheet, GAMMA_LOADS, FBAR)
