@@ -24,7 +24,13 @@ The L-infimum is scanned on a log grid and polished by golden-section
 refinement; inner minimizations share the descent contract from
 :mod:`filmcell.solvers` and are warm-started along the L grid.  A
 minimum attained strictly at a grid boundary raises the
-``l-search-boundary`` warning in the diagnostics.
+``l-search-boundary`` warning in the diagnostics.  For a quadratic W
+(p-norm with p = 2, anisotropic quadratic, under any modulation) the
+fixed-L problem is a quadratic form, and the inner descents of the
+three cell forms and of the quasiconvexification take Newton steps on
+its exact Hessian, factored once per L (see ``EnergyContext.newton``);
+other families, and the joint descent of ``minimize_over_z``, use
+L-BFGS.
 
 The transverse-average constraint is enforced by reparametrization, not
 by multipliers: the solver variable is an unconstrained periodic field
@@ -125,6 +131,10 @@ class CellProblemSpec:
         self.fbar = np.asarray(self.fbar, dtype=float).reshape(3, 2)
         if self.z is not None:
             self.z = np.asarray(self.z, dtype=float).reshape(3)
+        for name in ("fbar", "z"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
 
     def content(self, kind):
         return {
@@ -247,7 +257,7 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
     starts = [(label, pack(vals, mesh)) for label, vals in
               _base_starts(W, mesh, spec, fbar, scale, warm_values)]
     best, diag = multistart_minimize(ctx.value_and_grad, starts,
-                                     spec.inner.solver())
+                                     spec.inner.solver(), newton=ctx.newton)
     full = unpack(ctx.operator.project(best.x), mesh)
     return best.value, full, diag
 

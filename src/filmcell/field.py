@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .integrand import MaterialPoint, StoredEnergyDensity
 
@@ -45,7 +46,7 @@ __all__ = [
     "LATERAL_ZERO", "LATERAL_PERIODIC", "LATERAL_AFFINE", "FULLY_PERIODIC",
     "PINNED", "PERIODIC", "OPEN",
     "CellMesh", "DiscreteField", "KinematicOperator",
-    "grid_operator", "kinematic_operator",
+    "grid_operator", "kinematic_operator", "value_operator",
     "affine_values", "scaled_gradient",
     "energy_integral", "energy_gradient", "EnergyContext",
     "transverse_average", "refine_mesh", "inject",
@@ -204,13 +205,19 @@ class KinematicOperator:
     the ramp 0.5 x3 per component, and T R = I in the laterally
     periodic mode.  It has rank three and stays in dof space: folded
     into B it would fill n1 n2 columns of every transverse row.
+
+    ``border`` holds the rows that make B^T D B (D positive definite per
+    quadrature point) nonsingular as a bordered system: T when
+    constrained, and the three translation modes (per-component dof
+    means) when no axis is pinned; None when no row is needed.
     """
 
-    def __init__(self, B, ramp=None, trace=None):
+    def __init__(self, B, ramp=None, trace=None, border=None):
         self.B = B
         self.Bt = B.T.tocsr()
         self.ramp = ramp
         self.trace = trace
+        self.border = border
         self.ndof = B.shape[1]
 
     def project(self, x):
@@ -229,10 +236,16 @@ class KinematicOperator:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_operator(counts, spacings, quadrature, axes, constrained):
-    B = grid_operator(counts, spacings, quadrature, axes)
+def _cached_operator(counts, spacings, quadrature, axes, constrained,
+                     derivative=True):
+    B = grid_operator(counts, spacings, quadrature, axes, derivative)
+    nnode = B.shape[1] // 3
+    eye = np.eye(3)
+    rows = []
+    if PINNED not in axes:
+        rows.append(sp.kron(np.full((1, nnode), 1.0 / nnode), eye))
     if not constrained:
-        return KinematicOperator(B)
+        return KinematicOperator(B, border=sp.vstack(rows, "csr") if rows else None)
     n1, n2, n3 = counts
     dof, first = _node_layout(counts, axes)
     tw = np.zeros((n1 + 1, n2 + 1, n3 + 1))
@@ -241,8 +254,10 @@ def _cached_operator(counts, spacings, quadrature, axes, constrained):
     valid = dof >= 0
     t = np.bincount(dof[valid], weights=tw.ravel()[valid], minlength=first.size)
     r = 0.5 * (-1.0 + (2.0 / n3) * (first % (n3 + 1)))
-    eye = np.eye(3)
-    return KinematicOperator(B, np.kron(r[:, None], eye), np.kron(t[None, :], eye))
+    trace = np.kron(t[None, :], eye)
+    rows.append(sp.csr_matrix(trace))
+    return KinematicOperator(B, np.kron(r[:, None], eye), trace,
+                             sp.vstack(rows, "csr"))
 
 
 def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
@@ -259,6 +274,49 @@ def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
         axes = _MODE_AXES[mesh.boundary_mode]
     return _cached_operator(tuple(mesh.counts), tuple(mesh.spacings),
                             mesh.quadrature, tuple(axes), bool(constrained))
+
+
+def value_operator(mesh) -> KinematicOperator:
+    """Cached map from raw nodal values to quadrature-point values.
+
+    Rows run over cells, quadrature points and components; shares the
+    bounded cache of ``kinematic_operator``.
+    """
+    dim = len(mesh.counts)
+    return _cached_operator(tuple(mesh.counts), tuple(mesh.spacings),
+                            mesh.quadrature, (OPEN,) * dim, False, False)
+
+
+@functools.lru_cache(maxsize=8)
+def _bordered_stiffness(op, weights, moduli):
+    """Bordered Hessian [[K0 + s K1 + s^2 K2, C^T], [C, 0]] of a quadratic energy.
+
+    Each Kk = B^T blockdiag(c_q M_k) B with c_q the per-point weights
+    (bytes) and M_k the entries of the moduli (bytes, 9x9) pairing
+    in-plane with in-plane (k = 0), in-plane with transverse (k = 1) and
+    transverse with transverse (k = 2) columns of vec(F); C is the
+    operator's ``border`` (absent when None).  Returns (indptr, indices,
+    (d0, d1, d2)): one CSC pattern and the data of the three parts on
+    it, the border in d0, so the matrix at scale s has data
+    d0 + s d1 + s^2 d2.  One entry per (operator, weights, moduli): the
+    scales of an L-scan share it.
+    """
+    c = sp.diags(np.frombuffer(weights))
+    M = np.frombuffer(moduli).reshape(9, 9)
+    t = (np.arange(9) % 3 == 2).astype(float)
+    m = 1.0 - t
+    parts = [op.Bt @ (sp.kron(c, mask * M, format="csr") @ op.B) for mask in
+             (np.outer(m, m), np.outer(m, t) + np.outer(t, m), np.outer(t, t))]
+    if op.border is not None:
+        C = op.border
+        parts[0] = sp.bmat([[parts[0], C.T], [C, None]], format="csr")
+        for K in parts[1:]:
+            K.resize(parts[0].shape)
+    pattern = sum(abs(K) for K in parts).tocsc()
+    pattern.sort_indices()
+    cols = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+    data = tuple(np.asarray(K[pattern.indices, cols]).ravel() for K in parts)
+    return pattern.indptr, pattern.indices, data
 
 
 @dataclass(frozen=True)
@@ -397,6 +455,13 @@ class EnergyContext:
     ``transverse_offset`` (3,) to the scaled transverse column, so cell
     problems keep their perturbation fields literally zero-valued on the
     constrained boundary.
+
+    ``newton`` is None unless W is quadratic (``W.moduli`` set); then it
+    is a callable taking a gradient g over the free dofs to the d with
+    H d = g and C d = 0, for H the exact Hessian of the energy in the
+    free dofs and C the operator's ``border`` rows.  Its first call
+    assembles H from cached stiffness parts and factors the bordered
+    system [[H, C^T], [C, 0]], once per context.
     """
 
     def __init__(self, W: StoredEnergyDensity, mesh: CellMesh,
@@ -442,6 +507,30 @@ class EnergyContext:
     @functools.cached_property
     def _nodal_operator(self):
         return kinematic_operator(self.mesh, (OPEN, OPEN, OPEN))
+
+    @functools.cached_property
+    def newton(self):
+        moduli = self.W.moduli
+        if moduli is None:
+            return None
+        # The closure holds no reference to self: a context stays free of
+        # cycles and is released, factorization included, with its last user.
+        op, s = self.operator, self.transverse_scale
+        wq, modv, prefactor = self._wq, self.modv, self.prefactor
+        lu = None
+
+        def solve(g):
+            nonlocal lu
+            if lu is None:
+                indptr, indices, (d0, d1, d2) = _bordered_stiffness(
+                    op, (prefactor * wq * modv).tobytes(), moduli.tobytes())
+                n = indptr.size - 1
+                lu = splu(sp.csc_matrix((d0 + s * d1 + (s * s) * d2, indices, indptr),
+                                        shape=(n, n)))
+            rhs = np.zeros(lu.shape[0])
+            rhs[:g.size] = g
+            return lu.solve(rhs)[:g.size]
+        return solve
 
     def _gradients(self, values):
         """Operator used and G at every quadrature point for an argument."""

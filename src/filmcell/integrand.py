@@ -354,6 +354,8 @@ class _PNorm:
             raise ValueError("pnorm scale must be positive")
         self.p = float(p)
         self.scale = float(scale)
+        # Constant Hessian of W0 in vec(F) when W0 is quadratic, else None.
+        self.moduli = 2.0 * self.scale * np.eye(9) if self.p == 2.0 else None
 
     def energy(self, F):
         return self.scale * frobenius(F) ** self.p
@@ -398,6 +400,7 @@ class _AnisoQuadratic:
         if eigs[0] <= 0.0:
             raise ValueError("C must be positive definite")
         self.cmat = cmat
+        self.moduli = cmat
         self._eig_min = float(eigs[0])
         self._eig_max = float(eigs[-1])
 
@@ -447,6 +450,7 @@ class _TwoWell:
     """
 
     name = "two_well"
+    moduli = None
 
     def __init__(self, well_plus, well_minus=None):
         A1 = np.asarray(well_plus, dtype=float).reshape(3, 3)
@@ -508,7 +512,9 @@ class StoredEnergyDensity:
     Scalar entry points (`evaluate`, `stress`, `fiber_infimum`) take a
     MaterialPoint (or an (x_alpha, x3) pair) and check the domain.  The
     array entry points used by assembly loops take precomputed modulation
-    values and skip checks.
+    values and skip checks.  ``moduli`` is the constant 9x9 Hessian of the
+    base family in row-major vec(F) for quadratic families (p-norm with
+    p = 2, anisotropic quadratic) and None otherwise.
     """
 
     def __init__(self, family, modulation=None, growth=None, family_label=None,
@@ -527,6 +533,7 @@ class StoredEnergyDensity:
             growth = GrowthSpec(base.p, base.beta_lower * b[0], base.beta_upper * b[1])
         self.growth = growth
         self.is_convex = bool(family.convex)
+        self.moduli = family.moduli
 
     # -- scalar interface ---------------------------------------------------
 
@@ -602,12 +609,15 @@ class StoredEnergyDensity:
                    for i, z0 in enumerate(self.family.fiber_starts(fbar))]
         starts = [(lab, z0) for lab, z0 in starts
                   if float(np.linalg.norm(z0)) <= radius + 1e-9]
+        if not starts:
+            raise FiberInfimumError(
+                f"no fiber start lies within the coercivity radius {radius}")
         best, diag = multistart_minimize(
             fun, starts, SolverConfig(max_iter=200, grad_tol=1e-10))
-        if best is None or not best.converged:
+        if not best.converged:
             raise FiberInfimumError(
                 "fiber infimum did not converge within the multistart budget",
-                best_value=None if best is None else best.value,
+                best_value=best.value,
                 summaries=diag["starts"])
         return best.value, best.x
 

@@ -1,15 +1,20 @@
-"""First-order descent machinery shared by the cell and thin-film solvers.
+"""Descent machinery shared by the cell and thin-film solvers.
 
-The workhorse is a limited-memory quasi-Newton loop (two-loop recursion)
-with a backtracking Armijo line search.  Termination follows a single
-contract used throughout the package: stop once the gradient norm falls
-below ``grad_tol * (1 + |value|)`` or after ``max_iter`` iterations.
-Accepted steps never increase the objective, which the refinement
-monotonicity tests rely on.  The decrease is not strict: once
-``ARMIJO_C * step * slope`` falls below half an ulp of the value, the
-Armijo test accepts a step with an unchanged value, so a descent whose
-gradient cannot reach the threshold at working precision keeps taking
-such steps until ``max_iter``.
+The workhorse is a descent loop with a backtracking Armijo line search.
+Its direction is the limited-memory quasi-Newton one (two-loop
+recursion) unless the caller hands in ``newton``, a solve g -> H^+ g on
+the exact Hessian of a quadratic objective; the direction is then the
+Newton one, -newton(g), tried first at the full step.  Termination
+follows a single contract used throughout the package: stop once the
+gradient norm falls below ``grad_tol * (1 + |value|)`` or after
+``max_iter`` iterations.  ``newton`` is first called only after that
+test has failed once, so a start that is already converged costs the
+caller no factorization.  Accepted steps never increase the objective,
+which the refinement monotonicity tests rely on.  The decrease is not
+strict: once ``ARMIJO_C * step * slope`` falls below half an ulp of the
+value, the Armijo test accepts a step with an unchanged value, so a
+descent whose gradient cannot reach the threshold at working precision
+keeps taking such steps until ``max_iter``.
 
 Fixed constants: ``HISTORY`` (curvature pairs kept), ``ARMIJO_C``,
 ``STEP_SHRINK`` and ``MAX_BACKTRACKS`` (line search), ``GOLDEN_MAX_ITER``.
@@ -80,9 +85,12 @@ def _two_loop(grad, s_list, y_list, rho_list):
     return q
 
 
-def minimize_lbfgs(fun, x0, config: SolverConfig | None = None) -> SolveResult:
+def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
+                   newton=None) -> SolveResult:
     """Minimize ``fun(x) -> (value, grad)`` from ``x0``.
 
+    With ``newton`` (a callable g -> H^+ g), every direction is the
+    Newton direction -newton(g) instead of the two-loop one.
     Returns the best iterate found.  ``status`` is "ok" on gradient
     convergence, "max_iter" when the iteration cap was reached, and
     "line_search" when no Armijo step could be found (the iterate is
@@ -104,14 +112,18 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None) -> SolveResult:
         if gnorm <= cfg.grad_tol * (1.0 + abs(f)):
             status, converged = "ok", True
             break
-        d = -_two_loop(g, s_list, y_list, rho_list)
+        if newton is None:
+            d = -_two_loop(g, s_list, y_list, rho_list)
+        else:
+            d = -newton(g)
         slope = float(np.dot(g, d))
         if slope >= 0.0:
             # Curvature memory turned unreliable; fall back to steepest descent.
             d = -g
             slope = -gnorm * gnorm
             s_list, y_list, rho_list = [], [], []
-        step = 1.0 if s_list else min(1.0, 1.0 / max(gnorm, 1e-12))
+        full_step = newton is not None or s_list
+        step = 1.0 if full_step else min(1.0, 1.0 / max(gnorm, 1e-12))
         f_new = f
         g_new = g
         accepted = False
@@ -178,31 +190,34 @@ def golden_section(fun, a, b, tol=1e-3):
 
 
 def multistart_minimize(fun, starts, config: SolverConfig | None = None,
-                        prefer=None):
+                        prefer=None, newton=None):
     """Run the descent from each start and keep the best result.
 
-    ``starts`` is a sequence of (label, x0) pairs.  Ties in final value
-    (within 1e-12 relative) resolve to the earliest start, which makes
+    ``starts`` is a sequence of (label, x0) pairs; ``newton`` is passed
+    to every descent.  Ties in final value (within 1e-12 relative)
+    resolve to the earliest start, which makes
     the outcome independent of dict ordering quirks.  With ``prefer``,
     the winner is the first result of smallest ``prefer(result)`` within
     1e-9 * (1 + |best|) of that pick.
 
     Returns (best SolveResult, diag): per-start summaries (start, value,
-    grad_norm, iterations, status) under "starts", then, unless no start
-    was given (best None), the winner's grad_norm, the iterations summed
-    over all starts and the winner's status.
+    grad_norm, iterations, n_evals, status) under "starts", then, unless
+    no start was given (best None), the winner's grad_norm, the
+    iterations and energy evaluations summed over all starts and the
+    winner's status.
     """
     best = None
     results = []
     summaries = []
     for label, x0 in starts:
-        res = minimize_lbfgs(fun, x0, config)
+        res = minimize_lbfgs(fun, x0, config, newton=newton)
         results.append(res)
         summaries.append({
             "start": label,
             "value": res.value,
             "grad_norm": res.grad_norm,
             "iterations": res.iterations,
+            "n_evals": res.n_evals,
             "status": res.status,
         })
         if best is None or res.value < best.value - 1e-12 * max(1.0, abs(best.value)):
@@ -215,5 +230,6 @@ def multistart_minimize(fun, starts, config: SolverConfig | None = None,
         best = min((r for r in results if r.value <= band), key=prefer)
     diag.update(grad_norm=best.grad_norm,
                 iterations=sum(s["iterations"] for s in summaries),
+                evals=sum(s["n_evals"] for s in summaries),
                 status=best.status)
     return best, diag

@@ -46,8 +46,8 @@ from .integrand import (
 )
 from .field import (
     CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE, OPEN, PINNED,
-    affine_values, grid_operator, kinematic_operator, pack,
-    reduce_gradient, transverse_average, unpack, _quad_coords, _quad_weights,
+    affine_values, kinematic_operator, pack, reduce_gradient,
+    transverse_average, unpack, value_operator, _quad_coords, _quad_weights,
 )
 from .solvers import minimize_lbfgs, multistart_minimize
 from .cell import CellProblemSpec, InnerConfig, cosserat_density
@@ -212,8 +212,7 @@ def _nodal_work(mesh, density):
 
     ``density`` is already weighted, shape mesh.counts + (nq, 3).
     """
-    V = grid_operator(mesh.counts, mesh.spacings, mesh.quadrature,
-                      (OPEN,) * len(mesh.counts), derivative=False)
+    V = value_operator(mesh).B
     return (V.T @ density.ravel()).reshape(mesh.node_shape + (3,))
 
 
@@ -287,7 +286,8 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
         base = pack(datum, mesh)
         for r in range(max(problem.inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
-    best, info = multistart_minimize(fun, starts, problem.inner.solver())
+    best, info = multistart_minimize(fun, starts, problem.inner.solver(),
+                                     newton=ctx.newton)
     field = DiscreteField(mesh, unpack(best.x, mesh, datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
     return best.value, field, bbar, info
@@ -664,7 +664,8 @@ def _study_row(problem, eps, limit_energy):
     h1, h2 = sheet.spacings
     bbar_norm = float(np.sqrt(np.sum(w_node[..., None] * bbar ** 2) * h1 * h2))
     return {"epsilon": eps, "energy": value, "gap": gap,
-            "iterations": info["iterations"], "seconds": seconds,
+            "iterations": info["iterations"], "evals": info["evals"],
+            "seconds": seconds,
             "bbar_norm": bbar_norm, "status": info["status"]}
 
 

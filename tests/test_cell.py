@@ -255,3 +255,41 @@ def test_solution_record_is_serializable():
 def test_spec_content_distinguishes_kind():
     spec = spec_at(FB)
     assert spec.content("membrane") != spec.content("cosserat")
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("fbar", {"fbar": np.full((3, 2), np.nan)}),
+    ("z", {"fbar": FB, "z": [0.0, np.inf, 0.0]}),
+])
+def test_spec_rejects_non_finite_arguments(name, kw):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CellProblemSpec(**kw)
+
+
+def test_stalling_laminate_cosserat_converges_at_every_l(monkeypatch):
+    # L-BFGS ran this 2x2x2 cell to max_iter at some L; Newton steps do not
+    import filmcell.solvers as solvers_mod
+    statuses = []
+    descent = solvers_mod.minimize_lbfgs
+
+    def recorded(*args, **kwargs):
+        res = descent(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+    monkeypatch.setattr(solvers_mod, "minimize_lbfgs", recorded)
+    fbar = [[-0.49, -0.08], [-0.36, -0.14], [-0.56, 0.65]]
+    z = [-0.46, 0.27, -0.32]
+    sol = cosserat_density(LAM, spec_at(fbar, z, inner=InnerConfig(multistart=1)))
+    assert rel_err(sol.value, laminate_cosserat(np.asarray(fbar), np.asarray(z))) < 1e-10
+    # the zero start at every L, the warm one at all but the first
+    assert len(statuses) == 2 * len(sol.diagnostics["l_profile"]) - 1
+    assert set(statuses) == {"ok"}
+
+
+def test_laminate_cosserat_on_a_fine_mesh():
+    # cosserat_basic physics on 8^3: a 1,728-dof bordered Newton system per L
+    spec = spec_at([[0.5, 0.0], [0.0, -0.3], [0.0, 0.2]], [0.0, 0.0, 0.4],
+                   mesh=CellMesh(8, 8, 8))
+    sol = cosserat_density(LAM, spec)
+    assert abs(sol.value - 1.0) <= 1e-10
+    assert sol.l_star == 1.0

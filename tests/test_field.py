@@ -13,8 +13,12 @@ from filmcell.field import (FULLY_PERIODIC, LATERAL_AFFINE, LATERAL_PERIODIC,
                             kinematic_operator, pack, reduce_gradient,
                             refine_mesh, scaled_gradient, transverse_average,
                             unpack)
-from filmcell.integrand import MaterialPoint, pnorm_density, two_well_density
+from filmcell.integrand import (MaterialPoint, PlanarCheckerboard,
+                                TransverseLaminate, aniso_quadratic_density,
+                                pnorm_density, two_well_density)
+from filmcell.solvers import SolverConfig, minimize_lbfgs
 from filmcell.thinfilm import SheetMesh
+from scipy.sparse.linalg import splu
 import filmcell.field as field_mod
 from oracles import rel_err
 
@@ -342,3 +346,102 @@ def test_cached_quadrature_is_read_only_and_fresh(mesh):
                 want = origin[a] + (cell[a] + point[a]) * mesh.spacings[a]
                 assert coords[a][cell + (q,)] == pytest.approx(want, rel=0, abs=1e-14)
     assert np.isclose(weights.sum(), np.prod(mesh.spacings) * np.prod(mesh.counts))
+
+
+# -- Newton solves for quadratic families -------------------------------------
+
+_C_FULL = np.random.default_rng(21).normal(size=(9, 9))
+NEWTON_FAMILIES = {
+    "p2": pnorm_density(2.0, scale=1.5),
+    "aniso-full": aniso_quadratic_density(cmat=_C_FULL @ _C_FULL.T + 9.0 * np.eye(9)),
+    "laminate": pnorm_density(2.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,))),
+    "checkerboard": aniso_quadratic_density(
+        entry_weights=np.arange(1.0, 10.0).reshape(3, 3),
+        modulation=PlanarCheckerboard((1.0, 4.0), 0.5)),
+}
+NEWTON_RULES = [(LATERAL_ZERO, False), (LATERAL_PERIODIC, False),
+                (LATERAL_PERIODIC, True), (FULLY_PERIODIC, False),
+                (LATERAL_AFFINE, False)]
+
+
+def _newton_problem(W, mode, constrained, rng):
+    """Objective over free dofs at L = 2.5 with offsets, loads in affine mode.
+
+    On 2 x 2 x 2 meshes the in-plane/transverse coupling part of the
+    Hessian vanishes for every free-dof rule; 3 x 2 x 4 keeps it.
+    """
+    mesh = CellMesh(3, 2, 4, boundary_mode=mode)
+    datum = None
+    if mode == LATERAL_AFFINE:
+        datum = affine_values(mesh, 0.3 * rng.normal(size=(3, 2)),
+                              0.3 * rng.normal(size=3))
+    ctx = EnergyContext(W, mesh, transverse_scale=2.5, prefactor=0.5, x_mode="full",
+                        inplane_offset=0.3 * rng.normal(size=(3, 2)),
+                        transverse_offset=0.3 * rng.normal(size=3),
+                        constrained=constrained, datum=datum)
+    ell = 0.3 * rng.normal(size=free_size(mesh)) if datum is not None else 0.0
+
+    def fun(x):
+        val, grad = ctx.value_and_grad(x)
+        return val - float(np.sum(ell * x)), grad - ell
+    return mesh, ctx, fun, 0.3 * rng.normal(size=free_size(mesh))
+
+
+@pytest.mark.parametrize("mode,constrained", NEWTON_RULES)
+@pytest.mark.parametrize("family", list(NEWTON_FAMILIES))
+def test_newton_step_solves_quadratic_families(family, mode, constrained):
+    rng = np.random.default_rng(22)
+    mesh, ctx, fun, x0 = _newton_problem(NEWTON_FAMILIES[family], mode,
+                                         constrained, rng)
+    assert ctx.newton is not None
+    res = minimize_lbfgs(fun, x0, SolverConfig(), newton=ctx.newton)
+    # one accepted Newton step, then the stopping test holds
+    assert (res.status, res.iterations, res.n_evals) == ("ok", 2, 2)
+    ref = minimize_lbfgs(fun, x0, SolverConfig())
+    assert ref.status == "ok"
+    assert abs(res.value - ref.value) <= 1e-10 * (1.0 + abs(ref.value))
+    # The field against the exact minimum-norm step of the dense Hessian
+    # (columns by gradient differences, exact for a quadratic): L-BFGS's
+    # Armijo test on values stops resolving the field near 1e-9 here.
+    g0 = fun(x0)[1]
+    eye = np.eye(x0.size)
+    H = np.stack([fun(x0 + e)[1] - g0 for e in eye], axis=1)
+    want = ctx.operator.project(x0 - np.linalg.pinv(H, rcond=1e-10) @ g0)
+    got = ctx.operator.project(res.x)
+    assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
+    assert np.abs(got - ctx.operator.project(ref.x)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("W", [pnorm_density(3.0), two_well_density(np.eye(3))])
+def test_non_quadratic_families_get_no_newton_solve(W):
+    mesh = CellMesh(2, 2, 2, boundary_mode=LATERAL_PERIODIC)
+    assert W.moduli is None
+    assert EnergyContext(W, mesh, constrained=True).newton is None
+
+
+def test_converged_start_builds_no_factorization(monkeypatch):
+    factored = []
+    monkeypatch.setattr(field_mod, "splu", lambda A: factored.append(A) or splu(A))
+    rng = np.random.default_rng(23)
+    _, ctx, fun, x0 = _newton_problem(NEWTON_FAMILIES["laminate"], LATERAL_PERIODIC,
+                                      True, rng)
+    first = minimize_lbfgs(fun, x0, SolverConfig(), newton=ctx.newton)
+    assert len(factored) == 1
+    again = minimize_lbfgs(fun, first.x, SolverConfig(), newton=ctx.newton)
+    assert (again.status, again.iterations, again.n_evals) == ("ok", 1, 1)
+    fresh = EnergyContext(ctx.W, ctx.mesh, ctx.transverse_scale, ctx.prefactor,
+                          "full", inplane_offset=ctx.inplane_offset,
+                          transverse_offset=ctx.transverse_offset, constrained=True)
+    minimize_lbfgs(fresh.value_and_grad, first.x, SolverConfig(), newton=fresh.newton)
+    assert len(factored) == 1
+
+
+def test_value_operator_is_cached_and_matches_a_fresh_build():
+    for mesh in (CellMesh(2, 3, 4), SheetMesh(3, 2)):
+        dim = len(mesh.counts)
+        V = field_mod.value_operator(mesh)
+        assert field_mod.value_operator(mesh) is V
+        fresh = field_mod.grid_operator(mesh.counts, mesh.spacings, mesh.quadrature,
+                                        (OPEN,) * dim, derivative=False)
+        density = np.random.default_rng(24).normal(size=V.B.shape[0])
+        assert (V.B.T @ density).tobytes() == (fresh.T @ density).tobytes()

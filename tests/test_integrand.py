@@ -326,3 +326,11 @@ def test_fiber_infimum_without_starts_raises_fiber_error():
     with pytest.raises(FiberInfimumError) as info:
         W.fiber_infimum(MID, fbar)
     assert info.value.summaries == [] and info.value.best_value is None
+
+
+def test_fiber_infimum_without_starts_names_the_coercivity_radius():
+    from filmcell.integrand import FiberInfimumError
+
+    with pytest.raises(FiberInfimumError, match="no fiber start lies within "
+                                                "the coercivity radius"):
+        pnorm_density(2.0).fiber_infimum(MID, np.full((3, 2), np.nan))

@@ -105,7 +105,8 @@ def test_multistart_negative_values():
 
 def test_multistart_diag_matches_per_start_descents():
     # diag is the dict the cell and film solvers report: one summary per
-    # start, then the winner's grad_norm, summed iterations, winner's status
+    # start, then the winner's grad_norm, summed iterations and evaluations,
+    # winner's status
     def fun(x):
         v = (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0]
         return float(v), np.array([4 * x[0] * (x[0] ** 2 - 1.0) + 0.1])
@@ -115,13 +116,14 @@ def test_multistart_diag_matches_per_start_descents():
     best, diag = multistart_minimize(fun, starts, cfg)
     runs = [minimize_lbfgs(fun, x0, cfg) for _, x0 in starts]
     summaries = [{"start": label, "value": r.value, "grad_norm": r.grad_norm,
-                  "iterations": r.iterations, "status": r.status}
+                  "iterations": r.iterations, "n_evals": r.n_evals,
+                  "status": r.status}
                  for (label, _), r in zip(starts, runs)]
     want = {"starts": summaries, "grad_norm": best.grad_norm,
             "iterations": sum(s["iterations"] for s in summaries),
-            "status": best.status}
+            "evals": sum(r.n_evals for r in runs), "status": best.status}
     assert diag == want
-    assert list(diag) == ["starts", "grad_norm", "iterations", "status"]
+    assert list(diag) == ["starts", "grad_norm", "iterations", "evals", "status"]
     assert best.value == min(r.value for r in runs) == runs[0].value
 
 

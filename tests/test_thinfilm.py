@@ -12,6 +12,7 @@ from filmcell.integrand import (
     pnorm_density,
     two_well_density,
 )
+from filmcell.solvers import SolverConfig
 from filmcell.thinfilm import (
     CellDensitySource,
     LoadSystem,
@@ -593,3 +594,25 @@ def test_table_source_rejects_unsuitable_tables():
     hetero_table = build_table(checker, grid, "cosserat", template)
     with pytest.raises(ValueError, match="single-point"):
         TableDensitySource(hetero_table)
+
+
+def test_loaded_film_takes_one_newton_step(monkeypatch):
+    loads = LoadSystem(f=[0.1, 0.0, -0.2], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+    problem = ThinFilmProblem(W=W_LAM, omega=SheetMesh(3, 2), fbar_bc=FBAR,
+                              loads=loads, epsilons=(0.25,), n3=4)
+    value, field, _, info = thinfilm._minimize_film(problem, 0.25)
+    assert (info["status"], info["iterations"], info["evals"]) == ("ok", 2, 2)
+    real = thinfilm.multistart_minimize
+
+    def lbfgs(fun, starts, config, newton=None):
+        return real(fun, starts, SolverConfig(grad_tol=1e-10))
+    monkeypatch.setattr(thinfilm, "multistart_minimize", lbfgs)
+    ref_value, ref_field, _, _ = thinfilm._minimize_film(problem, 0.25)
+    assert abs(value - ref_value) <= 1e-10 * (1.0 + abs(ref_value))
+    assert np.abs(field.values - ref_field.values).max() <= 1e-9
+
+
+def test_study_rows_report_energy_evaluations():
+    study = convergence_study(quad_problem())
+    for row in study.rows:
+        assert row["evals"] >= row["iterations"] >= 1
