@@ -28,9 +28,9 @@ minimum attained strictly at a grid boundary raises the
 (p-norm with p = 2, anisotropic quadratic, under any modulation) the
 fixed-L problem is a quadratic form, and the inner descents of the
 three cell forms and of the quasiconvexification take Newton steps on
-its exact Hessian, factored once per L (see ``EnergyContext.newton``);
-other families, and the joint descent of ``minimize_over_z``, use
-L-BFGS.
+its exact Hessian, whose factorization at each L is cached for the
+process (see ``EnergyContext.newton``); other families, and the joint
+descent of ``minimize_over_z``, use L-BFGS.
 
 The transverse-average constraint is enforced by reparametrization, not
 by multipliers: the solver variable is an unconstrained periodic field
@@ -218,13 +218,18 @@ def _base_starts(W, mesh, spec, fbar, gradient_scale, warm_values=None):
     """Ordered (label, full nodal values) pairs for the inner multistart.
 
     Convex families get the zero start (plus the warm one); the discrete
-    problem is then convex and any start reaches the minimum.  Nonconvex
-    families add a mesh-aligned laminate seed, the negated affine lift
-    and seeded random perturbations.
+    problem is then convex and any start reaches the minimum.  Quadratic
+    families (``W.moduli`` set) drop the zero start when a warm one
+    exists: their Newton descents send both to the same minimizer, and
+    ties go to the earlier, warm start anyway.  Nonconvex families add a
+    mesh-aligned laminate seed, the negated affine lift and seeded
+    random perturbations.
     """
     starts = []
     if warm_values is not None:
         starts.append(("warm", warm_values))
+        if W.moduli is not None:
+            return starts
     starts.append(("zero", np.zeros(mesh.node_shape + (3,))))
     if W.is_convex:
         return starts

@@ -34,6 +34,7 @@ mid-surface sheet used by the thin-film limit.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -319,6 +320,55 @@ def _bordered_stiffness(op, weights, moduli):
     return pattern.indptr, pattern.indices, data
 
 
+# Total factor nonzeros (L plus U) the process keeps.  A bordered factor
+# holds about 600 nonzeros on a 2x2x2 cell, 16,000 on 4x4x4 and 277,000
+# (about 3.3 MB) on 8x8x8, so this holds every 2x2x2 and 4x4x4 L-scan and
+# one 8x8x8 factor.
+FACTOR_NNZ_BUDGET = 500_000
+
+
+class _FactorCache:
+    """Bordered factorizations shared by every context of the process.
+
+    Keyed by (operator, weights bytes, moduli bytes, scale) like
+    ``_bordered_stiffness``, so the nodes of a table build share the
+    factors of their common L grid, and repeated cell ops and film
+    solves reuse theirs.  Least
+    recently used entries go first once the stored factor nonzeros would
+    exceed ``FACTOR_NNZ_BUDGET``; a factor larger than the whole budget
+    is used once and not stored.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.nnz = 0
+        self._entries = OrderedDict()
+
+    def clear(self):
+        self._entries.clear()
+        self.nnz = 0
+
+    def get(self, op, weights, moduli, s):
+        key = (op, weights, moduli, s)
+        lu = self._entries.get(key)
+        if lu is not None:
+            self._entries.move_to_end(key)
+            return lu
+        indptr, indices, (d0, d1, d2) = _bordered_stiffness(op, weights, moduli)
+        n = indptr.size - 1
+        lu = splu(sp.csc_matrix((d0 + s * d1 + (s * s) * d2, indices, indptr),
+                                shape=(n, n)))
+        if lu.nnz <= self.budget:
+            while self.nnz + lu.nnz > self.budget:
+                self.nnz -= self._entries.popitem(last=False)[1].nnz
+            self._entries[key] = lu
+            self.nnz += lu.nnz
+        return lu
+
+
+_FACTORS = _FactorCache(FACTOR_NNZ_BUDGET)
+
+
 @dataclass(frozen=True)
 class CellMesh:
     """Structured mesh of a rectangle times (-1, 1).
@@ -460,8 +510,11 @@ class EnergyContext:
     is a callable taking a gradient g over the free dofs to the d with
     H d = g and C d = 0, for H the exact Hessian of the energy in the
     free dofs and C the operator's ``border`` rows.  Its first call
-    assembles H from cached stiffness parts and factors the bordered
-    system [[H, C^T], [C, 0]], once per context.
+    takes the factorization of the bordered system [[H, C^T], [C, 0]]
+    from a process-wide cache keyed by (operator, weights, moduli,
+    scale), bounded by ``FACTOR_NNZ_BUDGET`` stored factor nonzeros; a
+    miss assembles H from cached stiffness parts and factors it.  A
+    start that is already converged never calls it.
     """
 
     def __init__(self, W: StoredEnergyDensity, mesh: CellMesh,
@@ -514,7 +567,8 @@ class EnergyContext:
         if moduli is None:
             return None
         # The closure holds no reference to self: a context stays free of
-        # cycles and is released, factorization included, with its last user.
+        # cycles and is released with its last user.  The factorization it
+        # fetches on first use belongs to the process-wide cache.
         op, s = self.operator, self.transverse_scale
         wq, modv, prefactor = self._wq, self.modv, self.prefactor
         lu = None
@@ -522,11 +576,8 @@ class EnergyContext:
         def solve(g):
             nonlocal lu
             if lu is None:
-                indptr, indices, (d0, d1, d2) = _bordered_stiffness(
-                    op, (prefactor * wq * modv).tobytes(), moduli.tobytes())
-                n = indptr.size - 1
-                lu = splu(sp.csc_matrix((d0 + s * d1 + (s * s) * d2, indices, indptr),
-                                        shape=(n, n)))
+                lu = _FACTORS.get(op, (prefactor * wq * modv).tobytes(),
+                                  moduli.tobytes(), s)
             rhs = np.zeros(lu.shape[0])
             rhs[:g.size] = g
             return lu.solve(rhs)[:g.size]

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .solvers import SolverConfig, multistart_minimize
 
@@ -731,6 +730,28 @@ class GrowthReport:
         return self.n_violations == 0
 
 
+_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _halton(n):
+    """First n points of the unscrambled 13-D Halton sequence, from index 0.
+
+    Radical inverses in the first 13 prime bases, digits summed from the
+    least significant one as ``scipy.stats.qmc.Halton(d=13,
+    scramble=False).random(n)`` does, so the points are bitwise its
+    points without importing ``scipy.stats``.
+    """
+    pts = np.zeros((n, len(_HALTON_BASES)))
+    for j, base in enumerate(_HALTON_BASES):
+        q = np.arange(n)
+        digit = 1.0 / base
+        while q.any():
+            pts[:, j] += (q % base) * digit
+            digit /= base
+            q //= base
+    return pts
+
+
 def verify_growth(W: StoredEnergyDensity, n_samples=512, fmax=1e3) -> GrowthReport:
     """Check the growth sandwich on a deterministic quasi-random sample set.
 
@@ -738,8 +759,7 @@ def verify_growth(W: StoredEnergyDensity, n_samples=512, fmax=1e3) -> GrowthRepo
     gradient magnitudes log-uniform in [1e-3, fmax].  Violations of either
     bound are collected; the operation reports rather than raises.
     """
-    halton = qmc.Halton(d=13, scramble=False)
-    pts = halton.random(n_samples)
+    pts = _halton(n_samples)
     ax, ay, bx, by = W.domain
     x1 = ax + (bx - ax) * pts[:, 0]
     x2 = ay + (by - ay) * pts[:, 1]

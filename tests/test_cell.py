@@ -1,6 +1,8 @@
 """Cell problems: membrane, Cosserat, and envelope densities."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,9 @@ from filmcell.cell import (CellProblemSpec, CellSolveError, InnerConfig,
                            lamination_upper_bound, membrane_density,
                            membrane_density_periodic, minimize_over_z,
                            quasiconvexify, refinement_ladder)
-from filmcell.field import CellMesh, transverse_average
+from filmcell.field import LATERAL_PERIODIC, CellMesh, transverse_average
+import filmcell.cell as cell_mod
+import filmcell.field as field_mod
 from filmcell.integrand import (FiberInfimumError, MaterialPoint,
                                 PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
@@ -281,9 +285,61 @@ def test_stalling_laminate_cosserat_converges_at_every_l(monkeypatch):
     z = [-0.46, 0.27, -0.32]
     sol = cosserat_density(LAM, spec_at(fbar, z, inner=InnerConfig(multistart=1)))
     assert rel_err(sol.value, laminate_cosserat(np.asarray(fbar), np.asarray(z))) < 1e-10
-    # the zero start at every L, the warm one at all but the first
-    assert len(statuses) == 2 * len(sol.diagnostics["l_profile"]) - 1
+    # one start per L: the zero start at the first, the warm one after it
+    assert len(statuses) == len(sol.diagnostics["l_profile"])
     assert set(statuses) == {"ok"}
+
+
+def test_only_quadratic_families_drop_the_zero_start():
+    warm = np.ones(MESH2.node_shape + (3,))
+    spec = spec_at(FB)
+
+    def labels(W, warm_values):
+        return [label for label, _ in cell_mod._base_starts(W, MESH2, spec, FB, 1.0,
+                                                            warm_values)]
+    assert labels(LAM, warm) == ["warm"]
+    assert labels(LAM, None) == ["zero"]
+    assert labels(pnorm_density(3.0), warm) == ["warm", "zero"]
+
+
+def test_second_table_node_reuses_every_factorization(monkeypatch):
+    # two table nodes at one x0 on one L grid, as build_table solves them
+    factored = []
+    splu = field_mod.splu
+    monkeypatch.setattr(field_mod, "splu", lambda A: factored.append(A) or splu(A))
+    field_mod._FACTORS.clear()
+    first = cosserat_density(LAM, spec_at(FB, [0.1, -0.2, 0.3]))
+    assert 0 < len(factored) <= len(first.diagnostics["l_profile"])
+    n_first = len(factored)
+    spec = spec_at(-FB, [-0.4, 0.0, 0.2])
+    warm = cosserat_density(LAM, spec)
+    assert len(factored) == n_first
+    field_mod._FACTORS.clear()
+    cold = cosserat_density(LAM, spec)
+    assert len(factored) > n_first
+    assert warm.value.hex() == cold.value.hex()
+    assert warm.field.values.tobytes() == cold.field.values.tobytes()
+
+
+def test_fixed_l_solve_leaves_no_live_context(monkeypatch):
+    contexts = []
+
+    class Recorded(cell_mod.EnergyContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(weakref.ref(self))
+    monkeypatch.setattr(cell_mod, "EnergyContext", Recorded)
+    spec = spec_at(FB, [0.1, -0.2, 0.3])
+    mesh = replace(MESH2, boundary_mode=LATERAL_PERIODIC)
+    # with the collector off, only reference counts can release a context
+    gc.disable()
+    try:
+        _, _, diag = cell_mod._solve_fixed(LAM, mesh, spec, spec.fbar, spec.z, 2.0,
+                                           "frozen", constrained=True)
+        assert diag["iterations"] > 1
+        assert len(contexts) == 1 and contexts[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_laminate_cosserat_on_a_fine_mesh():

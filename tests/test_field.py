@@ -420,6 +420,7 @@ def test_non_quadratic_families_get_no_newton_solve(W):
 
 
 def test_converged_start_builds_no_factorization(monkeypatch):
+    field_mod._FACTORS.clear()
     factored = []
     monkeypatch.setattr(field_mod, "splu", lambda A: factored.append(A) or splu(A))
     rng = np.random.default_rng(23)
@@ -434,6 +435,50 @@ def test_converged_start_builds_no_factorization(monkeypatch):
                           transverse_offset=ctx.transverse_offset, constrained=True)
     minimize_lbfgs(fresh.value_and_grad, first.x, SolverConfig(), newton=fresh.newton)
     assert len(factored) == 1
+
+
+def _fetch_factor(mesh, L):
+    """Make the constrained laminate context at L fetch its factorization."""
+    ctx = EnergyContext(NEWTON_FAMILIES["laminate"], mesh, transverse_scale=L,
+                        prefactor=0.5, constrained=True)
+    ctx.newton(np.zeros(ctx.operator.ndof))
+
+
+def test_factor_cache_stays_within_its_budget(monkeypatch):
+    cache = field_mod._FACTORS
+    cache.clear()
+    factored = []
+
+    def recorded(A):
+        factored.append(splu(A))
+        return factored[-1]
+    monkeypatch.setattr(field_mod, "splu", recorded)
+    small = CellMesh(2, 2, 2, boundary_mode=LATERAL_PERIODIC)
+    large = CellMesh(8, 8, 8, boundary_mode=LATERAL_PERIODIC)
+    # two 8^3 factors exceed the budget: each new one evicts the oldest
+    # entries, the 2^3 one first, then the 8^3 one before it
+    for mesh, L, count in [(small, 1.0, 1), (large, 1.0, 2), (large, 2.0, 1),
+                           (large, 3.0, 1), (small, 1.0, 2)]:
+        _fetch_factor(mesh, L)
+        stored = list(cache._entries.values())
+        assert cache.nnz == sum(lu.nnz for lu in stored) <= field_mod.FACTOR_NNZ_BUDGET
+        assert (len(stored), stored[-1]) == (count, factored[-1])
+    # the 2^3 factor was evicted, so the last fetch factored it again
+    assert len(factored) == 5
+    _fetch_factor(large, 3.0)
+    assert len(factored) == 5
+
+
+def test_factor_larger_than_the_budget_is_not_stored(monkeypatch):
+    cache = field_mod._FACTORS
+    cache.clear()
+    monkeypatch.setattr(cache, "budget", 100)
+    rng = np.random.default_rng(25)
+    _, ctx, fun, x0 = _newton_problem(NEWTON_FAMILIES["p2"], LATERAL_PERIODIC,
+                                      True, rng)
+    res = minimize_lbfgs(fun, x0, SolverConfig(), newton=ctx.newton)
+    assert (res.status, res.iterations) == ("ok", 2)
+    assert (len(cache._entries), cache.nnz) == (0, 0)
 
 
 def test_value_operator_is_cached_and_matches_a_fresh_build():

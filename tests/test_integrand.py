@@ -1,5 +1,9 @@
 """Density families, heterogeneity modulations, and growth metadata."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +15,7 @@ from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
                                 density_from_config, frobenius, join,
                                 modulation_in_plane_constant, pnorm_density,
                                 two_well_density, verify_growth)
+import filmcell.integrand as integrand_mod
 from oracles import central_difference, two_well_raw
 
 MID = MaterialPoint((0.5, 0.5), 0.0)
@@ -226,6 +231,20 @@ def test_verify_growth_flags_wrong_lower_constant():
     assert not rep.ok
     assert rep.n_violations > 0
     assert rep.violations
+
+
+@pytest.mark.parametrize("n", [1, 7, 512, 4096])
+def test_halton_points_match_scipy_bitwise(n):
+    from scipy.stats import qmc
+    want = qmc.Halton(d=13, scramble=False).random(n)
+    assert integrand_mod._halton(n).tobytes() == want.tobytes()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(integrand_mod.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import filmcell.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code, src]).returncode == 0
 
 
 def test_verify_growth_deterministic():
