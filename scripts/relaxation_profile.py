@@ -1,6 +1,6 @@
 """Envelope of a double-well energy along the segment between the wells.
 
-Samples the quasiconvex envelope of |F - A|^2 |F + A|^2 / |2A|^2 with
+Samples the quasiconvex envelope of min(|F - A|^2, |F + A|^2) with
 A = a (x) n at F = t A for t in [-1.2, 1.2].  Inside the segment the
 envelope vanishes (fine laminates mixing the two wells); outside it
 follows the raw energy.

@@ -200,7 +200,7 @@ def _laminate_seed(W, mesh, gradient_scale):
     axis = int(np.argmax(np.abs(n_vec)))
     if abs(abs(n_vec[axis]) - 1.0) > 1e-9:
         return None
-    counts = (mesh.n1, mesh.n2, mesh.n3)
+    counts = mesh.counts
     if counts[axis] % 2 != 0:
         return None
     a_eff = a_vec * np.sign(n_vec[axis])

@@ -20,10 +20,10 @@ import numpy as np
 import yaml
 
 from .expr import compile_vector
-from .field import CellMesh
+from .field import CellMesh, SheetMesh
 from .integrand import MaterialPoint, density_from_config
 from .cell import CellProblemSpec, InnerConfig, LSearchConfig
-from .thinfilm import LoadSystem, SheetMesh, ThinFilmProblem
+from .thinfilm import LoadSystem, ThinFilmProblem
 from .tabulate import SampleGrid
 
 __all__ = [
@@ -248,9 +248,6 @@ def build_loads(resolved: dict) -> LoadSystem:
 def build_problem(resolved: dict) -> ThinFilmProblem:
     gc = resolved["gamma"]
     oc = gc["omega"]
-    sheet = SheetMesh(_need(oc, "n1", "int", "gamma.omega.n1"),
-                      _need(oc, "n2", "int", "gamma.omega.n2"),
-                      origin=tuple(oc["origin"]), lengths=tuple(oc["lengths"]))
     cell_spec = build_cell_spec(resolved, with_z=True)
     eps = gc["epsilons"]
     if not (isinstance(eps, (list, tuple)) and eps):
@@ -258,7 +255,9 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
     try:
         return ThinFilmProblem(
             W=build_density(resolved),
-            omega=sheet,
+            omega=SheetMesh(_need(oc, "n1", "int", "gamma.omega.n1"),
+                            _need(oc, "n2", "int", "gamma.omega.n2"),
+                            origin=oc["origin"], lengths=oc["lengths"]),
             fbar_bc=_matrix(gc["fbar_bc"], (3, 2), "gamma.fbar_bc"),
             loads=build_loads(resolved),
             epsilons=tuple(float(e) for e in eps),

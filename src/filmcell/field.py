@@ -3,7 +3,9 @@
 Meshes cover a rectangle times the fixed thickness interval (-1, 1) with
 n1 x n2 x n3 trilinear hexahedral cells.  Both the through-thickness
 unit cell Q' x (-1, 1) and thin-film cylinders omega x (-1, 1) use the
-same machinery; only the in-plane rectangle differs.
+same machinery; only the in-plane rectangle differs.  The mid-surface
+sheet omega of the thin-film limit (``SheetMesh``) is the in-plane case
+of the same geometry; the slab only adds the thickness axis.
 
 The central kinematic object is the scaled gradient
 
@@ -20,20 +22,22 @@ Boundary modes:
                           (homogeneous unit-cube problems),
   * ``lateral-affine``    lateral faces pinned to a caller datum.
 
-Top and bottom faces are always traction-free (no constraint).
+Top and bottom faces are always traction-free (no constraint).  A sheet
+is ``lateral-affine`` under the in-plane part of the slab's dof rule, so
+the film and its limit share one pinned parametrization.
 
 Every evaluation goes through one linear map per mesh geometry and dof
 rule: a sparse matrix B from the dof vector (free dofs of a boundary
 mode, or raw nodal values) to unscaled gradients at the quadrature
 points, with prescribed nodes dropped and periodic twins sharing a
 column.  Gradients of the discrete energy are exact: B^T applied to the
-weighted stress.  The same builder gives the 2D operators of the
-mid-surface sheet used by the thin-film limit.
+weighted stress.  The same builder gives the 2D operators of the sheet.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -46,9 +50,9 @@ from .integrand import MaterialPoint, StoredEnergyDensity
 __all__ = [
     "LATERAL_ZERO", "LATERAL_PERIODIC", "LATERAL_AFFINE", "FULLY_PERIODIC",
     "PINNED", "PERIODIC", "OPEN",
-    "CellMesh", "DiscreteField", "KinematicOperator",
+    "CellMesh", "SheetMesh", "DiscreteField", "KinematicOperator",
     "grid_operator", "kinematic_operator", "value_operator",
-    "affine_values", "scaled_gradient",
+    "affine_values", "pinned_values", "trapezoid_weights", "scaled_gradient",
     "energy_integral", "energy_gradient", "EnergyContext",
     "transverse_average", "refine_mesh", "inject",
     "pack", "unpack", "reduce_gradient", "free_size",
@@ -264,7 +268,7 @@ def _cached_operator(counts, spacings, quadrature, axes, constrained,
 def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
     """Cached gradient operator of a mesh geometry under a dof rule.
 
-    ``mesh`` is a ``CellMesh`` or a 2D sheet; ``axes`` defaults to the
+    ``mesh`` is a ``CellMesh`` or a ``SheetMesh``; ``axes`` defaults to the
     rule of the mesh's boundary mode, ``(OPEN,) * dim`` gives raw nodal
     values.  ``constrained`` adds the transverse-average projector (3D).
     A small bounded cache keeps one operator per (cell counts, spacings,
@@ -272,9 +276,9 @@ def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
     every L of a scan, every start, every thickness row.
     """
     if axes is None:
-        axes = _MODE_AXES[mesh.boundary_mode]
-    return _cached_operator(tuple(mesh.counts), tuple(mesh.spacings),
-                            mesh.quadrature, tuple(axes), bool(constrained))
+        axes = _dof_axes(mesh)
+    return _cached_operator(mesh.counts, mesh.spacings, mesh.quadrature,
+                            tuple(axes), bool(constrained))
 
 
 def value_operator(mesh) -> KinematicOperator:
@@ -283,9 +287,8 @@ def value_operator(mesh) -> KinematicOperator:
     Rows run over cells, quadrature points and components; shares the
     bounded cache of ``kinematic_operator``.
     """
-    dim = len(mesh.counts)
-    return _cached_operator(tuple(mesh.counts), tuple(mesh.spacings),
-                            mesh.quadrature, (OPEN,) * dim, False, False)
+    return _cached_operator(mesh.counts, mesh.spacings, mesh.quadrature,
+                            (OPEN,) * len(mesh.counts), False, False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -369,8 +372,59 @@ class _FactorCache:
 _FACTORS = _FactorCache(FACTOR_NNZ_BUDGET)
 
 
+class _Grid:
+    """Geometry of a rectangle ``origin`` + (0, ``lengths``) in n1 x n2 cells.
+
+    A slab adds the thickness axis (-1, 1).  ``counts``, ``spacings``,
+    ``node_shape`` and the lower ``corner`` are computed once per mesh.
+    """
+
+    quadrature = "gauss2"
+
+    def __post_init__(self, layers=()):
+        """Validate and set the geometry; ``layers`` holds a slab's n3."""
+        try:
+            origin, lengths = tuple(map(float, self.origin)), tuple(map(float, self.lengths))
+        except TypeError:
+            origin = lengths = ()
+        if len(origin) != 2 or len(lengths) != 2:
+            raise ValueError("origin and lengths must be pairs of numbers: "
+                             f"{self.origin!r}, {self.lengths!r}")
+        if min(self.n1, self.n2) < 1:
+            raise ValueError("need n1, n2 >= 1")
+        if min(lengths) <= 0:
+            raise ValueError("in-plane lengths must be positive")
+        counts = (self.n1, self.n2) + layers
+        _tensor_rule(self.quadrature, len(counts))
+        # Frozen: the normalized fields and derived geometry go straight
+        # into the instance dict.
+        self.__dict__.update(
+            origin=origin, lengths=lengths, counts=counts,
+            corner=(origin + (-1.0,))[:len(counts)],
+            spacings=tuple(map(operator.truediv, lengths + (2.0,), counts)),
+            node_shape=tuple(n + 1 for n in counts))
+
+    @property
+    def area(self):
+        """Area of the in-plane rectangle."""
+        return self.lengths[0] * self.lengths[1]
+
+    def node_coords(self):
+        """Node coordinates per axis, each a 1-D array (broadcast to combine)."""
+        return tuple(o + h * np.arange(n + 1)
+                     for o, h, n in zip(self.corner, self.spacings, self.counts))
+
+    def quad_coords(self):
+        """Coordinates of all quadrature points, each of shape counts + (nq,)."""
+        return _quad_coords(self.counts, self.corner, self.spacings, self.quadrature)
+
+    def quad_weights(self):
+        """Physical weight of every quadrature point; sums to the box volume."""
+        return _quad_weights(self.counts, self.spacings, self.quadrature)
+
+
 @dataclass(frozen=True)
-class CellMesh:
+class CellMesh(_Grid):
     """Structured mesh of a rectangle times (-1, 1).
 
     n1, n2, n3 count cells per direction (n3 >= 2 so the mid-plane is a
@@ -387,46 +441,27 @@ class CellMesh:
     quadrature: str = "gauss2"
 
     def __post_init__(self):
-        if min(self.n1, self.n2) < 1 or self.n3 < 2:
-            raise ValueError("need n1, n2 >= 1 and n3 >= 2")
+        if self.n3 < 2:
+            raise ValueError("need n3 >= 2")
         if self.boundary_mode not in _MODES:
             raise ValueError(f"unknown boundary mode {self.boundary_mode!r}")
-        if self.lengths[0] <= 0 or self.lengths[1] <= 0:
-            raise ValueError("in-plane lengths must be positive")
-        _reference_rule(self.quadrature)
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
+        super().__post_init__((self.n3,))
 
-    # -- geometry -----------------------------------------------------------
+    def sheet(self) -> SheetMesh:
+        """The mid-surface sheet: the same rectangle and in-plane cells."""
+        return SheetMesh(self.n1, self.n2, self.origin, self.lengths)
 
-    @property
-    def counts(self):
-        return (self.n1, self.n2, self.n3)
 
-    @property
-    def spacings(self):
-        return (self.lengths[0] / self.n1, self.lengths[1] / self.n2, 2.0 / self.n3)
+@dataclass(frozen=True)
+class SheetMesh(_Grid):
+    """Bilinear mesh of the mid-surface rectangle omega, pinned on its boundary."""
 
-    @property
-    def node_shape(self):
-        return (self.n1 + 1, self.n2 + 1, self.n3 + 1)
+    boundary_mode = LATERAL_AFFINE
 
-    def node_coords(self):
-        """Arrays (x1, x2, x3) of node coordinates with broadcastable shapes."""
-        h1, h2, h3 = self.spacings
-        x1 = self.origin[0] + h1 * np.arange(self.n1 + 1)
-        x2 = self.origin[1] + h2 * np.arange(self.n2 + 1)
-        x3 = -1.0 + h3 * np.arange(self.n3 + 1)
-        return x1, x2, x3
-
-    def quad_coords(self):
-        """Coordinates of all quadrature points, each of shape (n1,n2,n3,nq)."""
-        return _quad_coords(self.counts, self.origin + (-1.0,), self.spacings,
-                            self.quadrature)
-
-    def quad_weights(self):
-        """Physical weight of every quadrature point; sums to the slab volume."""
-        return _quad_weights(self.counts, self.spacings, self.quadrature)
+    n1: int
+    n2: int
+    origin: tuple = (0.0, 0.0)
+    lengths: tuple = (1.0, 1.0)
 
 
 @dataclass
@@ -458,16 +493,15 @@ class DiscreteField:
         return float(np.linalg.norm(avg - target))
 
 
-def affine_values(mesh: CellMesh, fbar, z=None):
-    """Nodal values of the affine map x -> fbar . x_alpha (+ x3 * z)."""
+def affine_values(mesh, fbar, z=None):
+    """Nodal values of x -> fbar . x_alpha (+ x3 * z on a slab) on either mesh."""
     fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
-    x1, x2, x3 = mesh.node_coords()
-    vals = (fbar[:, 0][None, None, None, :] * x1[:, None, None, None]
-            + fbar[:, 1][None, None, None, :] * x2[None, :, None, None])
-    vals = np.broadcast_to(vals, mesh.node_shape + (3,)).copy()
+    x = mesh.node_coords()
+    plane = fbar[:, 0] * x[0][:, None, None] + fbar[:, 1] * x[1][None, :, None]
+    vals = np.broadcast_to(np.expand_dims(plane, tuple(range(2, len(x)))),
+                           mesh.node_shape + (3,)).copy()
     if z is not None:
-        z = np.asarray(z, dtype=float).reshape(3)
-        vals += x3[None, None, :, None] * z[None, None, None, :]
+        vals += x[2][:, None] * np.asarray(z, dtype=float).reshape(3)
     return vals
 
 
@@ -554,8 +588,7 @@ class EnergyContext:
                                   else np.asarray(transverse_offset, dtype=float).reshape(3))
         self._datum_grad = None
         if datum is not None:
-            pinned = unpack(np.zeros(free_size(mesh)), mesh, datum)
-            self._datum_grad = self._nodal_operator.B @ pinned.ravel()
+            self._datum_grad = self._nodal_operator.B @ pinned_values(mesh, datum).ravel()
 
     @functools.cached_property
     def _nodal_operator(self):
@@ -666,20 +699,25 @@ def energy_gradient(W, field: DiscreteField, transverse_scale=1.0, prefactor=1.0
 # Boundary modes: packing free dofs and reducing gradients
 # ---------------------------------------------------------------------------
 
-def _layout(mesh: CellMesh):
-    return _node_layout(mesh.counts, _MODE_AXES[mesh.boundary_mode])
+def _dof_axes(mesh):
+    """Per-axis dof rule of the mesh's boundary mode (in-plane part on a sheet)."""
+    return _MODE_AXES[mesh.boundary_mode][:len(mesh.counts)]
 
 
-def free_size(mesh: CellMesh) -> int:
+def _layout(mesh):
+    return _node_layout(mesh.counts, _dof_axes(mesh))
+
+
+def free_size(mesh) -> int:
     return 3 * _layout(mesh)[1].size
 
 
-def pack(values, mesh: CellMesh):
+def pack(values, mesh):
     """Extract the free degrees of freedom as a flat vector."""
     return np.asarray(values).reshape(-1, 3)[_layout(mesh)[1]].ravel()
 
 
-def unpack(vec, mesh: CellMesh, datum=None):
+def unpack(vec, mesh, datum=None):
     """Rebuild full nodal values from a free-dof vector.
 
     ``datum`` supplies the pinned boundary values in ``lateral-affine``
@@ -695,6 +733,11 @@ def unpack(vec, mesh: CellMesh, datum=None):
     free = dof >= 0
     values.reshape(-1, 3)[free] = np.asarray(vec).reshape(-1, 3)[dof[free]]
     return values
+
+
+def pinned_values(mesh, datum):
+    """Nodal values equal to ``datum`` on pinned nodes and zero on free ones."""
+    return unpack(np.zeros(free_size(mesh)), mesh, datum)
 
 
 def reduce_gradient(grad, mesh: CellMesh):
@@ -729,15 +772,18 @@ def transverse_average(field: DiscreteField, scale: float):
     return float(scale) * (u[:, :, -1, :] - u[:, :, 0, :])
 
 
+def trapezoid_weights(node_shape):
+    """Trapezoid-rule weights of a grid with unit spacing: 1/2 at both ends of each axis."""
+    w = np.ones(node_shape)
+    for axis in range(len(node_shape)):
+        w[(slice(None),) * axis + ([0, -1],)] *= 0.5
+    return w
+
+
 def area_mean_transverse_average(field: DiscreteField, scale: float):
     """In-plane area mean of ``transverse_average`` (trapezoid weights)."""
-    mesh = field.mesh
     ta = transverse_average(field, scale)
-    w1 = np.ones(mesh.n1 + 1)
-    w1[0] = w1[-1] = 0.5
-    w2 = np.ones(mesh.n2 + 1)
-    w2[0] = w2[-1] = 0.5
-    w = w1[:, None] * w2[None, :]
+    w = trapezoid_weights(ta.shape[:2])
     return np.einsum("ij,ijd->d", w, ta) / w.sum()
 
 

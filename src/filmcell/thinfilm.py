@@ -23,6 +23,10 @@ convergence study minimizes E_eps for a decreasing thickness list under
 a lateral affine clamp, minimizes J over (v, bbar) with v pinned to the
 same affine datum on the boundary, and reports relative gaps.
 
+The sheet omega is the in-plane case of the film's slab mesh; both
+meshes, the affine datum and the pinned parametrization live in
+``field``, so the film and its limit share one clamp.
+
 Density values reach the 2D assembly through a small source interface
 (value plus derivatives w.r.t. the membrane block and the transverse
 vector).  Cost model of the limit descent: one evaluation of J at a new
@@ -45,9 +49,9 @@ from .integrand import (
     MaterialPoint, StoredEnergyDensity, modulation_in_plane_constant,
 )
 from .field import (
-    CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE, OPEN, PINNED,
-    affine_values, kinematic_operator, pack, reduce_gradient,
-    transverse_average, unpack, value_operator, _quad_coords, _quad_weights,
+    CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE, OPEN, SheetMesh,
+    affine_values, kinematic_operator, pack, pinned_values, trapezoid_weights,
+    transverse_average, unpack, value_operator,
 )
 from .solvers import minimize_lbfgs, multistart_minimize
 from .cell import CellProblemSpec, InnerConfig, cosserat_density
@@ -55,65 +59,9 @@ from .cell import CellProblemSpec, InnerConfig, cosserat_density
 __all__ = [
     "SheetMesh", "LoadSystem", "ThinFilmProblem", "ConvergenceReport",
     "CellDensitySource", "TableDensitySource",
-    "scaled_energy", "minimize_thin_film", "sheet_affine_values", "bbar_at",
+    "scaled_energy", "minimize_thin_film", "bbar_at",
     "limit_membrane_energy", "minimize_limit", "convergence_study",
 ]
-
-@dataclass(frozen=True)
-class SheetMesh:
-    """Structured bilinear mesh of the mid-surface rectangle omega."""
-
-    quadrature = "gauss2"
-
-    n1: int
-    n2: int
-    origin: tuple = (0.0, 0.0)
-    lengths: tuple = (1.0, 1.0)
-
-    def __post_init__(self):
-        if min(self.n1, self.n2) < 1:
-            raise ValueError("need n1, n2 >= 1")
-        if self.lengths[0] <= 0 or self.lengths[1] <= 0:
-            raise ValueError("in-plane lengths must be positive")
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
-
-    @property
-    def counts(self):
-        return (self.n1, self.n2)
-
-    @property
-    def spacings(self):
-        return (self.lengths[0] / self.n1, self.lengths[1] / self.n2)
-
-    @property
-    def area(self):
-        return self.lengths[0] * self.lengths[1]
-
-    @property
-    def node_shape(self):
-        return (self.n1 + 1, self.n2 + 1)
-
-    def node_coords(self):
-        h1, h2 = self.spacings
-        x1 = self.origin[0] + h1 * np.arange(self.n1 + 1)
-        x2 = self.origin[1] + h2 * np.arange(self.n2 + 1)
-        return x1, x2
-
-    def quad_coords(self):
-        return _quad_coords(self.counts, self.origin, self.spacings, self.quadrature)
-
-    def quad_weights(self):
-        return _quad_weights(self.counts, self.spacings, self.quadrature)
-
-
-def sheet_affine_values(sheet: SheetMesh, fbar):
-    """Nodal values of x_alpha -> fbar . x_alpha on the sheet."""
-    fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
-    x1, x2 = sheet.node_coords()
-    return (fbar[:, 0][None, None, :] * x1[:, None, None]
-            + fbar[:, 1][None, None, :] * x2[None, :, None])
-
 
 # ---------------------------------------------------------------------------
 # Loads
@@ -194,9 +142,8 @@ class ThinFilmProblem:
         self.loads.check_compatibility(self.omega)
 
     def film_mesh(self) -> CellMesh:
-        return CellMesh(self.omega.n1, self.omega.n2, self.n3,
-                        origin=self.omega.origin, lengths=self.omega.lengths,
-                        boundary_mode=LATERAL_AFFINE)
+        return CellMesh(*self.omega.counts, self.n3, self.omega.origin,
+                        self.omega.lengths, boundary_mode=LATERAL_AFFINE)
 
     def boundary_datum(self, mesh: CellMesh):
         return affine_values(mesh, self.fbar_bc)
@@ -225,7 +172,7 @@ def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
     if loads.f is not None:
         fq = loads.f_at(*mesh.quad_coords())
         ell += _nodal_work(mesh, fq * mesh.quad_weights()[..., None])
-    sheet = SheetMesh(mesh.n1, mesh.n2, mesh.origin, mesh.lengths)
+    sheet = mesh.sheet()
     q1, q2 = sheet.quad_coords()
     w2 = sheet.quad_weights()
     for side, klayer in ((+1, -1), (-1, 0)):
@@ -236,15 +183,17 @@ def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
     return ell
 
 
+def _load_split(ell, mesh, datum):
+    """Load work l . u split as (free-dof vector, constant from the pinned datum)."""
+    return pack(ell, mesh), float(np.sum(ell * pinned_values(mesh, datum)))
+
+
 def _check_film_field(problem, u: DiscreteField):
     if u.mesh.boundary_mode != LATERAL_AFFINE:
         raise ValueError("thin-film fields use the lateral-affine boundary mode")
     datum = problem.boundary_datum(u.mesh)
     tol = 1e-9 * (1.0 + float(np.abs(datum).max()))
-    v = u.values
-    mism = max(np.abs(v[0] - datum[0]).max(), np.abs(v[-1] - datum[-1]).max(),
-               np.abs(v[:, 0] - datum[:, 0]).max(),
-               np.abs(v[:, -1] - datum[:, -1]).max())
+    mism = float(np.abs(unpack(pack(u.values, u.mesh), u.mesh, datum) - u.values).max())
     if mism > tol:
         raise ValueError(f"lateral boundary deviates from the affine datum by {mism}")
 
@@ -269,10 +218,7 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
     datum = problem.boundary_datum(mesh)
     ctx = EnergyContext(problem.W, mesh, transverse_scale=1.0 / eps,
                         prefactor=1.0, x_mode="full", datum=datum)
-    ell = _load_vector(problem, eps, mesh)
-    # Load work split into the free dofs and the pinned boundary datum.
-    ell_free = pack(reduce_gradient(ell, mesh), mesh)
-    ell_pinned = float(np.sum(ell * unpack(np.zeros(ell_free.size), mesh, datum)))
+    ell_free, ell_pinned = _load_split(_load_vector(problem, eps, mesh), mesh, datum)
 
     def fun(vec):
         val, grad = ctx.value_and_grad(vec)
@@ -402,10 +348,10 @@ class CellDensitySource:
         # Offset derivatives at the minimizer: strip the affine ramp to
         # recover the solver variable, then one gradient evaluation.
         mesh = sol.field.mesh
-        scale = 2.0 * float(sol.field.constraint_meta["scale"])
+        L = float(sol.l_star)
         x3 = mesh.node_coords()[2]
-        psi = sol.field.values - x3[None, None, :, None] * (z / scale)[None, None, None, :]
-        ctx = EnergyContext(self.W, mesh, transverse_scale=scale, prefactor=0.5,
+        psi = sol.field.values - x3[None, None, :, None] * (z / L)[None, None, None, :]
+        ctx = EnergyContext(self.W, mesh, transverse_scale=L, prefactor=0.5,
                             x_mode="frozen", x0=x0, inplane_offset=fbar,
                             transverse_offset=z)
         _, _, dF, dz = ctx.value_and_grad(psi, offset_grads=True)
@@ -559,24 +505,20 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
     vector finds every density key in the source's cache or table, so a
     fresh evaluation would return the same bits.
     """
-    datum = sheet_affine_values(sheet, fbar_bc)
+    datum = affine_values(sheet, fbar_bc)
     ell_v, ell_b = _limit_load_vectors(loads, sheet)
-    n1, n2 = sheet.n1, sheet.n2
-    op = kinematic_operator(sheet, (PINNED, PINNED))
+    op = kinematic_operator(sheet)
     nv = op.ndof
-    pinned = datum.copy()
-    pinned[1:n1, 1:n2, :] = 0.0
-    datum_grad = kinematic_operator(sheet, (OPEN, OPEN)).apply(pinned.ravel())
-    ell_free = ell_v[1:n1, 1:n2, :].ravel()
-    ell_pinned = float(np.sum(ell_v * pinned))
+    datum_grad = kinematic_operator(sheet, (OPEN, OPEN)).apply(
+        pinned_values(sheet, datum).ravel())
+    ell_free, ell_pinned = _load_split(ell_v, sheet, datum)
+    cells = (sheet.n1, sheet.n2, 3)
 
     def split(vec):
-        v = pinned.copy()
-        v[1:n1, 1:n2, :] = vec[:nv].reshape(n1 - 1, n2 - 1, 3)
-        return v, vec[nv:].reshape(n1, n2, 3)
+        return unpack(vec[:nv], sheet, datum), vec[nv:].reshape(cells)
 
     def fun(vec):
-        xv, b = vec[:nv], vec[nv:].reshape(n1, n2, 3)
+        xv, b = vec[:nv], vec[nv:].reshape(cells)
         F = (op.apply(xv) + datum_grad).reshape(-1, 3, 2)
         total, dF, dB = _limit_density_terms(source, sheet, F, b, with_grads=True)
         val = (total - float(ell_free @ xv) - ell_pinned
@@ -584,7 +526,7 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
         return val, np.concatenate([op.adjoint(dF.ravel()) - ell_free,
                                     (dB - ell_b).ravel()])
 
-    x0 = np.concatenate([datum[1:n1, 1:n2, :].ravel(), np.zeros(n1 * n2 * 3)])
+    x0 = np.concatenate([pack(datum, sheet), np.zeros(ell_b.size)])
     return _memoized(fun), x0, split
 
 
@@ -654,13 +596,8 @@ def _study_row(problem, eps, limit_energy):
         gap = (value - limit_energy) / abs(limit_energy)
     else:
         gap = value - limit_energy
-    sheet = SheetMesh(field.mesh.n1, field.mesh.n2,
-                      field.mesh.origin, field.mesh.lengths)
-    w_node = np.ones(sheet.node_shape)
-    w_node[0, :] *= 0.5
-    w_node[-1, :] *= 0.5
-    w_node[:, 0] *= 0.5
-    w_node[:, -1] *= 0.5
+    sheet = field.mesh.sheet()
+    w_node = trapezoid_weights(sheet.node_shape)
     h1, h2 = sheet.spacings
     bbar_norm = float(np.sqrt(np.sum(w_node[..., None] * bbar ** 2) * h1 * h2))
     return {"epsilon": eps, "energy": value, "gap": gap,

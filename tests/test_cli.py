@@ -15,7 +15,7 @@ from filmcell.cli import (
     cmd_tabulate,
     main,
 )
-from filmcell.config import ConfigError, load_config, resolve_config
+from filmcell.config import ConfigError, build_problem, load_config, resolve_config
 
 
 def quad_config(**cell_overrides):
@@ -49,6 +49,13 @@ def test_resolve_validates_seed():
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"seed": 2**64})
     assert resolve_config({"seed": 3})["seed"] == 3
+
+
+@pytest.mark.parametrize("origin", [[0.0, 0.0, 0.0], 0.0])
+def test_gamma_omega_origin_must_be_a_pair(origin):
+    resolved = resolve_config({"gamma": {"omega": {"origin": origin}}})
+    with pytest.raises(ConfigError, match="pairs"):
+        build_problem(resolved)
 
 
 def test_load_config_errors(tmp_path):

@@ -30,6 +30,20 @@ def rand_field(mesh, rng, scale=0.1):
         size=mesh.node_shape + (3,)))
 
 
+@pytest.mark.parametrize("make", [lambda **kw: CellMesh(2, 2, 2, **kw),
+                                  lambda **kw: SheetMesh(2, 2, **kw)])
+@pytest.mark.parametrize("bad", [{"origin": (0.0, 0.0, 0.0)}, {"lengths": (1.0,)},
+                                 {"origin": 0.0}, {"lengths": (1.0, None)}])
+def test_mesh_origin_and_lengths_must_be_pairs(make, bad):
+    with pytest.raises(ValueError, match="pairs"):
+        make(**bad)
+
+
+def test_trapezoid_weights_halve_each_end():
+    w = field_mod.trapezoid_weights((3, 4))
+    assert w.tobytes() == np.outer([0.5, 1.0, 0.5], [0.5, 1.0, 1.0, 0.5]).tobytes()
+
+
 def test_mesh_geometry():
     mesh = CellMesh(2, 3, 4, origin=(1.0, 2.0), lengths=(2.0, 3.0))
     x1, x2, x3 = mesh.node_coords()

@@ -5,7 +5,10 @@ import pytest
 
 import filmcell.thinfilm as thinfilm
 from filmcell.cell import CellProblemSpec, InnerConfig, minimize_over_z
-from filmcell.field import CellMesh, DiscreteField, LATERAL_ZERO, affine_values
+from filmcell.field import (
+    PINNED, CellMesh, DiscreteField, LATERAL_ZERO, affine_values, kinematic_operator,
+    pack, unpack,
+)
 from filmcell.integrand import (
     PlanarCheckerboard,
     TransverseLaminate,
@@ -25,7 +28,6 @@ from filmcell.thinfilm import (
     minimize_limit,
     minimize_thin_film,
     scaled_energy,
-    sheet_affine_values,
 )
 
 from oracles import rel_err
@@ -73,9 +75,23 @@ def test_sheet_mesh_validation():
         SheetMesh(2, 2, lengths=(1.0, 0.0))
 
 
+def test_sheet_dof_order_is_the_interior_in_c_order():
+    sheet = SheetMesh(4, 3, origin=(0.5, -1.0), lengths=(2.0, 1.5))
+    assert CellMesh(4, 3, 2, origin=(0.5, -1.0), lengths=(2.0, 1.5)).sheet() == sheet
+    v = np.random.default_rng(31).normal(size=sheet.node_shape + (3,))
+    assert pack(v, sheet).tobytes() == v[1:4, 1:3].ravel().tobytes()
+    datum = affine_values(sheet, FBAR)
+    assert unpack(pack(datum, sheet), sheet, datum).tobytes() == datum.tobytes()
+    assert kinematic_operator(sheet) is kinematic_operator(sheet, (PINNED, PINNED))
+    _, x0, split = thinfilm._limit_objective(_CountingSource(), sheet, LoadSystem(), FBAR)
+    v0, b0 = split(x0)
+    assert v0.tobytes() == datum.tobytes()
+    assert b0.shape == (4, 3, 3) and not b0.any()
+
+
 def test_sheet_affine_values_reproduce_plane():
     sheet = SheetMesh(3, 2, origin=(0.5, 0.0), lengths=(1.5, 1.0))
-    vals = sheet_affine_values(sheet, FBAR)
+    vals = affine_values(sheet, FBAR)
     assert vals.shape == (4, 3, 3)
     x1, x2 = sheet.node_coords()
     for i in (0, 2):
@@ -180,7 +196,7 @@ def test_minimize_film_thickness_must_be_listed():
 def test_limit_energy_of_affine_competitor():
     sheet = SheetMesh(2, 2)
     source = CellDensitySource(W_QUAD, SMALL_CELL)
-    v = sheet_affine_values(sheet, FBAR)
+    v = affine_values(sheet, FBAR)
     b = np.zeros((sheet.n1, sheet.n2, 3))
     got = limit_membrane_energy(source, sheet, LoadSystem(), v, b)
     want = 2.0 * float(np.sum(FBAR**2))
@@ -197,7 +213,7 @@ def test_minimize_limit_quadratic():
     value, v, b, info = minimize_limit(source, sheet, LoadSystem(), FBAR)
     want = 2.0 * float(np.sum(FBAR**2))
     assert rel_err(value, want) < 1e-8
-    assert np.abs(v - sheet_affine_values(sheet, FBAR)).max() < 1e-5
+    assert np.abs(v - affine_values(sheet, FBAR)).max() < 1e-5
     assert np.abs(b).max() < 1e-5
     assert info["status"] == "ok"
     assert info["iterations"] >= 1
