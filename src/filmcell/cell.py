@@ -262,7 +262,8 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
     starts = [(label, pack(vals, mesh)) for label, vals in
               _base_starts(W, mesh, spec, fbar, scale, warm_values)]
     best, diag = multistart_minimize(ctx.value_and_grad, starts,
-                                     spec.inner.solver(), newton=ctx.newton)
+                                     spec.inner.solver(), newton=ctx.newton,
+                                     value=ctx.value)
     full = unpack(ctx.operator.project(best.x), mesh)
     return best.value, full, diag
 
@@ -348,11 +349,13 @@ class QuasiconvexSurrogate:
         self.hits = 0
         self.misses = 0
 
-    def value(self, x3: float, F) -> float:
-        F = np.asarray(F, dtype=float).reshape(3, 3)
-        Fq = np.round(F / self.quant) * self.quant
-        x3_key = 0.0 if self.x3_free else round(float(x3), 9)
-        key = (x3_key, tuple(np.round(Fq, 9).ravel()))
+    def _quantize(self, G):
+        """Lattice points of gradients (n, 3, 3) and their cache keys, in one pass."""
+        Fq = np.round(G / self.quant) * self.quant
+        return Fq, [tuple(row) for row in np.round(Fq, 9).reshape(-1, 9).tolist()]
+
+    def _lookup(self, x3, Fq, fkey) -> float:
+        key = (0.0 if self.x3_free else round(float(x3), 9), fkey)
         if key in self.cache:
             self.hits += 1
             return self.cache[key]
@@ -368,12 +371,12 @@ class QuasiconvexSurrogate:
         ctx = EnergyContext(self.W, mesh, transverse_scale=scale, prefactor=0.5,
                             x_mode="frozen", x0=spec.x0,
                             inplane_offset=fbar, transverse_offset=z)
-        G = ctx.gradients(values_full)
+        Fq, fkeys = self._quantize(ctx.gradients(values_full))
         q3 = mesh.quad_coords()[2].ravel()
         wq = mesh.quad_weights().ravel()
         total = 0.0
-        for x3, w, F in zip(q3, wq, G):
-            total += w * self.value(x3, F)
+        for x3, w, F, fkey in zip(q3, wq, Fq, fkeys):
+            total += w * self._lookup(x3, F, fkey)
         return 0.5 * total
 
     def stats(self):
@@ -552,6 +555,10 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
             val, grad, _, dz = ctx.value_and_grad(vec[:nfree], offset_grads=True)
             return val, np.concatenate([grad, dz])
 
+        def value(vec):
+            ctx.transverse_offset = vec[nfree:]
+            return ctx.value(vec[:nfree])
+
         starts = []
         if warm_values is not None:
             starts.append(("warm", warm_values))
@@ -562,7 +569,7 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
                 starts.append((f"{flabel}/{zlabel}",
                                np.concatenate([fvec, z0])))
         best, diag = multistart_minimize(
-            fun, starts, spec.inner.solver(),
+            fun, starts, spec.inner.solver(), value=value,
             prefer=lambda r: float(np.linalg.norm(r.x[nfree:])))
         return best.value, best.x, diag
 

@@ -646,6 +646,13 @@ class EnergyContext:
         return self._gradients(values)[1]
 
     def value(self, values) -> float:
+        """Energy at the argument, bitwise ``value_and_grad(values)[0]``.
+
+        It skips the stress and the adjoint.  The line searches in
+        ``solvers`` rely on the equal bits, which hold because
+        ``energy_array`` and ``energy_stress_array`` compute the energy
+        by the same operations before the same quadrature sum.
+        """
         e = self.W.energy_array(self.modv, self.gradients(values))
         return self.prefactor * float(e @ self._wq)
 

@@ -78,10 +78,21 @@ def join(fbar, z):
     return np.concatenate([fbar, z[..., :, None]], axis=-1)
 
 
+def _sum33(X):
+    """``np.sum(X, axis=(-2, -1))``, bitwise, at less call overhead.
+
+    A C-contiguous array is reduced through a (..., 9) view, which numpy
+    sums in the same order as the two trailing axes.
+    """
+    if not X.flags.c_contiguous:
+        return np.sum(X, axis=(-2, -1))
+    return np.add.reduce(X.reshape(X.shape[:-2] + (9,)), axis=-1)
+
+
 def frobenius(F):
     """Frobenius norm along the trailing 3x3 axes."""
     F = np.asarray(F, dtype=float)
-    return np.sqrt(np.sum(F * F, axis=(-2, -1)))
+    return np.sqrt(_sum33(F * F))
 
 
 @dataclass(frozen=True)
@@ -466,11 +477,13 @@ class _TwoWell:
         else:
             self.rank_one = None
 
-    def _dists(self, F):
+    def _diffs(self, F):
         F = np.asarray(F, dtype=float)
-        d1 = np.sum((F - self.wells[0]) ** 2, axis=(-2, -1))
-        d2 = np.sum((F - self.wells[1]) ** 2, axis=(-2, -1))
-        return d1, d2
+        return F - self.wells[0], F - self.wells[1]
+
+    def _dists(self, F):
+        D1, D2 = self._diffs(F)
+        return _sum33(D1 * D1), _sum33(D2 * D2)
 
     def energy(self, F):
         d1, d2 = self._dists(F)
@@ -481,11 +494,10 @@ class _TwoWell:
 
     def energy_stress(self, F):
         """Energy and stress from one pair of well distances."""
-        F = np.asarray(F, dtype=float)
-        d1, d2 = self._dists(F)
+        D1, D2 = self._diffs(F)
+        d1, d2 = _sum33(D1 * D1), _sum33(D2 * D2)
         pick_first = (d1 <= d2)[..., None, None]
-        A = np.where(pick_first, self.wells[0], self.wells[1])
-        return np.minimum(d1, d2), 2.0 * (F - A)
+        return np.minimum(d1, d2), 2.0 * np.where(pick_first, D1, D2)
 
     def base_growth(self):
         amax2 = max(float(np.sum(A * A)) for A in self.wells)

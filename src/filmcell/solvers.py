@@ -16,6 +16,18 @@ value, the Armijo test accepts a step with an unchanged value, so a
 descent whose gradient cannot reach the threshold at working precision
 keeps taking such steps until ``max_iter``.
 
+Cost model.  The Armijo test needs only the objective's value at a
+trial point.  The first trial of an iteration is evaluated with its
+gradient, since Newton steps and healthy quasi-Newton steps accept it.
+With a ``value`` callable, every later trial of the same iteration is
+evaluated by ``value`` alone, and an accepted later trial then costs
+one more gradient evaluation.  ``value(x)`` must equal ``fun(x)[0]``
+bitwise, so the iterates are those of the all-gradient loop.
+``n_evals`` counts trial points, not calls: the extra gradient at an
+accepted later trial is not counted.  ``multistart_minimize`` runs one
+descent per distinct start (compared by its bytes; descents are
+deterministic) and repeats its result for every duplicate.
+
 Fixed constants: ``HISTORY`` (curvature pairs kept), ``ARMIJO_C``,
 ``STEP_SHRINK`` and ``MAX_BACKTRACKS`` (line search), ``GOLDEN_MAX_ITER``.
 
@@ -24,6 +36,7 @@ All routines are deterministic: no randomness, fixed evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +99,13 @@ def _two_loop(grad, s_list, y_list, rho_list):
 
 
 def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
-                   newton=None) -> SolveResult:
+                   newton=None, value=None) -> SolveResult:
     """Minimize ``fun(x) -> (value, grad)`` from ``x0``.
 
     With ``newton`` (a callable g -> H^+ g), every direction is the
-    Newton direction -newton(g) instead of the two-loop one.
+    Newton direction -newton(g) instead of the two-loop one.  With
+    ``value`` (a callable x -> fun(x)[0], bitwise), backtracking trials
+    after the first of an iteration skip the gradient.
     Returns the best iterate found.  ``status`` is "ok" on gradient
     convergence, "max_iter" when the iteration cap was reached, and
     "line_search" when no Armijo step could be found (the iterate is
@@ -124,12 +139,13 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
             s_list, y_list, rho_list = [], [], []
         full_step = newton is not None or s_list
         step = 1.0 if full_step else min(1.0, 1.0 / max(gnorm, 1e-12))
-        f_new = f
-        g_new = g
         accepted = False
-        for _ in range(MAX_BACKTRACKS):
+        for trial in range(MAX_BACKTRACKS):
             x_new = x + step * d
-            f_new, g_new = fun(x_new)
+            if trial == 0 or value is None:
+                f_new, g_new = fun(x_new)
+            else:
+                f_new, g_new = value(x_new), None
             n_evals += 1
             if f_new <= f + ARMIJO_C * step * slope:
                 accepted = True
@@ -138,6 +154,8 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
         if not accepted:
             status, converged = "line_search", True
             break
+        if g_new is None:
+            g_new = fun(x_new)[1]
         s = step * d
         y = np.asarray(g_new, dtype=float) - g
         sy = float(np.dot(s, y))
@@ -189,16 +207,30 @@ def golden_section(fun, a, b, tol=1e-3):
     return d, fd
 
 
+def _improves(res, best):
+    """Whether ``res`` displaces ``best``: finite, and lower by more than a tie."""
+    if best is None:
+        return True
+    if not math.isfinite(res.value):
+        return False
+    if not math.isfinite(best.value):
+        return True
+    return res.value < best.value - 1e-12 * max(1.0, abs(best.value))
+
+
 def multistart_minimize(fun, starts, config: SolverConfig | None = None,
-                        prefer=None, newton=None):
+                        prefer=None, newton=None, value=None):
     """Run the descent from each start and keep the best result.
 
-    ``starts`` is a sequence of (label, x0) pairs; ``newton`` is passed
-    to every descent.  Ties in final value (within 1e-12 relative)
-    resolve to the earliest start, which makes
+    ``starts`` is a sequence of (label, x0) pairs; ``newton`` and
+    ``value`` are passed to every descent.  A start whose bytes (and
+    shape) repeat an earlier one reuses that descent's result.  A finite
+    value always beats a non-finite one; among finite values, ties
+    (within 1e-12 relative) resolve to the earliest start, which makes
     the outcome independent of dict ordering quirks.  With ``prefer``,
-    the winner is the first result of smallest ``prefer(result)`` within
-    1e-9 * (1 + |best|) of that pick.
+    the winner is the first finite result of smallest ``prefer(result)``
+    within 1e-9 * (1 + |best|) of that pick; without a finite result
+    ``prefer`` is not consulted.
 
     Returns (best SolveResult, diag): per-start summaries (start, value,
     grad_norm, iterations, n_evals, status) under "starts", then, unless
@@ -209,8 +241,14 @@ def multistart_minimize(fun, starts, config: SolverConfig | None = None,
     best = None
     results = []
     summaries = []
+    by_start = {}
     for label, x0 in starts:
-        res = minimize_lbfgs(fun, x0, config, newton=newton)
+        x0 = np.asarray(x0, dtype=float)
+        key = (x0.shape, x0.tobytes())
+        res = by_start.get(key)
+        if res is None:
+            res = by_start[key] = minimize_lbfgs(fun, x0, config, newton=newton,
+                                                 value=value)
         results.append(res)
         summaries.append({
             "start": label,
@@ -220,14 +258,15 @@ def multistart_minimize(fun, starts, config: SolverConfig | None = None,
             "n_evals": res.n_evals,
             "status": res.status,
         })
-        if best is None or res.value < best.value - 1e-12 * max(1.0, abs(best.value)):
+        if _improves(res, best):
             best = res
     diag = {"starts": summaries}
     if best is None:
         return None, diag
-    if prefer is not None:
+    if prefer is not None and math.isfinite(best.value):
         band = best.value + 1e-9 * (1.0 + abs(best.value))
-        best = min((r for r in results if r.value <= band), key=prefer)
+        best = min((r for r in results if math.isfinite(r.value) and r.value <= band),
+                   key=prefer)
     diag.update(grad_norm=best.grad_norm,
                 iterations=sum(s["iterations"] for s in summaries),
                 evals=sum(s["n_evals"] for s in summaries),

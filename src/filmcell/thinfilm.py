@@ -224,6 +224,9 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
         val, grad = ctx.value_and_grad(vec)
         return val - float(ell_free @ vec) - ell_pinned, grad - ell_free
 
+    def value(vec):
+        return ctx.value(vec) - float(ell_free @ vec) - ell_pinned
+
     starts = [("affine", pack(datum, mesh))]
     if not problem.W.is_convex:
         rng = np.random.default_rng(
@@ -233,7 +236,7 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
         for r in range(max(problem.inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
     best, info = multistart_minimize(fun, starts, problem.inner.solver(),
-                                     newton=ctx.newton)
+                                     newton=ctx.newton, value=value)
     field = DiscreteField(mesh, unpack(best.x, mesh, datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
     return best.value, field, bbar, info

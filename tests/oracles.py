@@ -86,3 +86,10 @@ def directional_difference(fun, x, d, h=1e-6):
 
 def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
+
+
+def rank_one_well(scale=0.6):
+    """A two-well matrix a (x) e of Frobenius norm ``scale``: the wells are compatible."""
+    a = np.array([1.0, 0.5, -0.3])
+    e = np.array([1.0, 0.5, 0.0])
+    return scale * np.outer(a, e) / (np.linalg.norm(a) * np.linalg.norm(e))

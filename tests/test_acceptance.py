@@ -54,6 +54,7 @@ from filmcell.thinfilm import (
     minimize_limit,
     minimize_thin_film,
 )
+from oracles import rank_one_well
 
 TOL = 1e-8
 
@@ -129,12 +130,6 @@ def coupled_aniso():
     C = np.eye(9)
     C[0, 2] = C[2, 0] = 0.4
     return aniso_quadratic_density(cmat=C)
-
-
-def rank_one_well(scale=0.6):
-    a = np.array([1.0, 0.5, -0.3])
-    e = np.array([1.0, 0.5, 0.0])
-    return scale * np.outer(a, e) / (np.linalg.norm(a) * np.linalg.norm(e))
 
 
 # -- criterion 1: quadratic baseline -----------------------------------------

@@ -21,8 +21,9 @@ from filmcell.integrand import (FiberInfimumError, MaterialPoint,
                                 TransverseLaminate, aniso_quadratic_density,
                                 density_from_config, pnorm_density,
                                 two_well_density)
+from filmcell.solvers import minimize_lbfgs
 from oracles import (laminate_cosserat, laminate_membrane, quadratic_cosserat,
-                     quadratic_membrane, rel_err)
+                     quadratic_membrane, rank_one_well, rel_err)
 
 MESH2 = CellMesh(2, 2, 2)
 W2 = pnorm_density(2.0)
@@ -349,3 +350,117 @@ def test_laminate_cosserat_on_a_fine_mesh():
     sol = cosserat_density(LAM, spec)
     assert abs(sol.value - 1.0) <= 1e-10
     assert sol.l_star == 1.0
+
+
+# -- gradient-free backtracking ------------------------------------------------
+
+def _fixed_l_descents(W, spec, L):
+    """Context and packed cold starts of a fixed-L Cosserat solve."""
+    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
+    ctx = field_mod.EnergyContext(W, mesh, transverse_scale=L, prefactor=0.5,
+                                  x_mode="frozen", x0=spec.x0,
+                                  inplane_offset=spec.fbar,
+                                  transverse_offset=spec.z, constrained=True)
+    starts = [field_mod.pack(v, mesh) for _, v in
+              cell_mod._base_starts(W, mesh, spec, spec.fbar, L)]
+    return ctx, starts
+
+
+def _descend_both_ways(ctx, x0, cfg, newton=None):
+    """One descent with every trial's gradient and one with value-only backtracks.
+
+    Asserts equal results; returns the value-path result and its call log.
+    """
+    plain = minimize_lbfgs(ctx.value_and_grad, x0, cfg, newton=newton)
+    log = []
+
+    def fun(x):
+        log.append("g")
+        return ctx.value_and_grad(x)
+
+    def value(x):
+        log.append("v")
+        return ctx.value(x)
+    fast = minimize_lbfgs(fun, x0, cfg, newton=newton, value=value)
+    assert fast.x.tobytes() == plain.x.tobytes()
+    assert (repr(fast.value), repr(fast.grad_norm), fast.iterations, fast.n_evals,
+            fast.converged, fast.status) == (
+        repr(plain.value), repr(plain.grad_norm), plain.iterations, plain.n_evals,
+        plain.converged, plain.status)
+    # a gradient right after a value-only trial is that trial's, once accepted
+    regrads = sum(1 for a, b in zip(log, log[1:]) if (a, b) == ("v", "g"))
+    assert log.count("g") + log.count("v") - regrads == fast.n_evals
+    assert regrads <= fast.iterations
+    return fast, log
+
+
+def test_two_well_stall_backtracks_without_gradients():
+    well = rank_one_well()
+    W = two_well_density(well)
+    fbar = 1.6 * well[:, :2] + np.array([[0.02, -0.03], [0.01, 0.04], [-0.02, 0.01]])
+    spec = spec_at(fbar, [0.1, -0.05, 0.08])
+    # at the top of the L window the affine-lift start stalls at max_iter
+    ctx, starts = _fixed_l_descents(W, spec, spec.l_search.l_max)
+    stalls = 0
+    for x0 in starts:
+        res, log = _descend_both_ways(ctx, x0, spec.inner.solver())
+        if res.status == "max_iter":
+            stalls += 1
+            assert res.n_evals > 10 * res.iterations       # about 20 trials each
+            assert log.count("g") <= 1 + 2 * res.iterations
+    assert stalls >= 1
+
+
+def test_convex_and_newton_descents_are_unchanged_by_the_value_path():
+    spec = spec_at(FB, [0.2, -0.1, 0.3])
+    cfg = spec.inner.solver()
+    W3 = pnorm_density(3.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
+    ctx, starts = _fixed_l_descents(W3, spec, 2.0)
+    res, log = _descend_both_ways(ctx, starts[0], cfg)
+    assert res.status == "ok" and "v" in log
+    ctx, starts = _fixed_l_descents(LAM, spec, 2.0)
+    res, log = _descend_both_ways(ctx, starts[0], cfg, newton=ctx.newton)
+    assert res.status == "ok" and "v" not in log
+
+
+def test_minimize_over_z_value_closure_is_bitwise(monkeypatch):
+    seen = []
+    real = cell_mod.multistart_minimize
+
+    def spy(fun, starts, *args, **kwargs):
+        seen.append((fun, kwargs["value"], [x for _, x in starts]))
+        return real(fun, starts, *args, **kwargs)
+    monkeypatch.setattr(cell_mod, "multistart_minimize", spy)
+    W = pnorm_density(3.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
+    minimize_over_z(W, spec_at(FB, l_search=LSearchConfig(0.5, 2.0, 3)))
+    rng = np.random.default_rng(5)
+    assert seen
+    for fun, value, starts in seen:
+        points = starts + [x + 0.1 * rng.normal(size=x.shape) for x in starts]
+        values = [value(x) for x in points]
+        # in reverse, so every call follows one at another transverse vector
+        objective = [fun(x)[0] for x in reversed(points)][::-1]
+        assert [np.float64(v).tobytes() for v in values] == [
+            np.float64(v).tobytes() for v in objective]
+
+
+def test_surrogate_keys_match_the_per_point_rounding():
+    W = two_well_density(rank_one_well())
+    spec = spec_at(FB, [0.1, -0.05, 0.08])
+    sur = cell_mod.QuasiconvexSurrogate(W, spec)
+    q = sur.quant
+    rng = np.random.default_rng(9)
+    G = rng.normal(size=(64, 3, 3))
+    G[:8] = (np.round(G[:8] / q) + 0.5) * q      # halfway between lattice points
+    G[8:12] = -0.0
+    Fq, keys = sur._quantize(G)
+    for F, Fq_i, key in zip(G, Fq, keys):
+        want = np.round(F / q) * q
+        assert Fq_i.tobytes() == want.tobytes()
+        assert np.array(key).tobytes() == np.round(want, 9).ravel().tobytes()
+    # one surrogate integral: one lookup per quadrature point
+    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
+    vals = 0.05 * rng.normal(size=mesh.node_shape + (3,))
+    total = sur.integral(vals, mesh, spec, spec.fbar, spec.z, 1.0)
+    assert sur.hits + sur.misses == mesh.quad_weights().size
+    assert sur.misses == len(sur.cache) and np.isfinite(total)

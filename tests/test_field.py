@@ -504,3 +504,67 @@ def test_value_operator_is_cached_and_matches_a_fresh_build():
                                         (OPEN,) * dim, derivative=False)
         density = np.random.default_rng(24).normal(size=V.B.shape[0])
         assert (V.B.T @ density).tobytes() == (fresh.T @ density).tobytes()
+
+
+# -- the value path ------------------------------------------------------------
+
+def _value_families():
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(9, 9))
+    well = np.array([[0.4, 0.2, 0.0], [0.0, 0.0, 0.0], [-0.1, 0.0, 0.3]])
+    return {
+        "p2": pnorm_density(2.0),
+        "p3": pnorm_density(3.0, scale=1.5),
+        "aniso-full-C": aniso_quadratic_density(cmat=A @ A.T + 9.0 * np.eye(9)),
+        "two-well": two_well_density(well),
+        "laminate": pnorm_density(2.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,))),
+        "checkerboard": pnorm_density(3.0, modulation=PlanarCheckerboard((1.0, 2.0), 0.5)),
+    }
+
+
+def _value_contexts(W, rng):
+    """Contexts of every x mode, constrained, with a datum, with and without offsets."""
+    x0 = MaterialPoint((0.3, 0.7), 0.2)
+    fbar, z = 0.3 * rng.normal(size=(3, 2)), 0.3 * rng.normal(size=3)
+    affine = CellMesh(3, 2, 2, boundary_mode=LATERAL_AFFINE)
+    return {
+        "full-bare": EnergyContext(W, CellMesh(3, 2, 2, boundary_mode=LATERAL_ZERO)),
+        "frozen-constrained": EnergyContext(
+            W, CellMesh(2, 2, 2, boundary_mode=LATERAL_PERIODIC), 0.7, 0.5, "frozen",
+            x0, fbar, z, constrained=True),
+        "point": EnergyContext(W, CellMesh(2, 2, 2, boundary_mode=FULLY_PERIODIC),
+                               2.0, 0.5, "point", x0, fbar, z),
+        "full-datum": EnergyContext(W, affine, 1.0 / 0.3, 1.0, "full",
+                                    datum=affine_values(affine, fbar, z)),
+    }
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("family", list(_value_families()))
+def test_value_is_bitwise_value_and_grad(family):
+    W = _value_families()[family]
+    rng = np.random.default_rng(len(family))
+    for label, ctx in _value_contexts(W, rng).items():
+        n = ctx.operator.ndof
+        sparse = rng.normal(size=n)
+        sparse[::2] = 0.0
+        args = [np.zeros(n), rng.normal(size=n), sparse,
+                rng.normal(size=ctx.mesh.node_shape + (3,))]
+        for x in args:
+            assert _bits(ctx.value(x)) == _bits(ctx.value_and_grad(x)[0]), label
+        # minimize_over_z reassigns the transverse offset between evaluations
+        for z in (rng.normal(size=3), np.zeros(3), args[1][:3]):
+            ctx.transverse_offset = z
+            assert _bits(ctx.value(args[1])) == _bits(ctx.value_and_grad(args[1])[0])
+    if family == "p3":
+        # every gradient row is zero: the p-norm's zero-norm branch
+        ctx = _value_contexts(W, rng)["full-bare"]
+        assert ctx.value(np.zeros(ctx.operator.ndof)) == 0.0
+    if family == "two-well":
+        # G = 0 sits exactly between the wells A and -A
+        ctx = _value_contexts(W, rng)["full-bare"]
+        d1, d2 = W.family._dists(ctx.gradients(np.zeros(ctx.operator.ndof)))
+        assert np.array_equal(d1, d2)

@@ -1,8 +1,10 @@
 """Descent solver, line search, and multistart bookkeeping."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import filmcell.solvers as solvers_mod
 from filmcell.solvers import (SolverConfig, golden_section, minimize_lbfgs,
                               multistart_minimize)
 
@@ -161,3 +163,107 @@ def test_multistart_without_starts():
     best, diag = multistart_minimize(_flat, [])
     assert best is None
     assert diag == {"starts": []}
+
+
+def _cliff(bad):
+    # a parabola around 0 that returns ``bad`` with a zero gradient beyond x = 5,
+    # so a descent started there stops at once with status ok
+    def fun(x):
+        if x[0] > 5.0:
+            return bad, np.zeros(1)
+        return float(x[0] ** 2), 2.0 * x
+    return fun
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("order", [("cliff", "finite"), ("finite", "cliff")])
+@pytest.mark.parametrize("prefer", [None, lambda r: -float(r.x[0])])
+def test_multistart_finite_value_beats_non_finite(bad, order, prefer):
+    x0 = {"cliff": np.array([10.0]), "finite": np.array([0.5])}
+    best, diag = multistart_minimize(_cliff(bad), [(k, x0[k]) for k in order],
+                                     prefer=prefer)
+    assert np.isfinite(best.value) and best.value < 1e-12
+    assert abs(best.x[0]) < 1e-6
+    assert diag["status"] == best.status == "ok"
+
+
+def test_multistart_with_only_non_finite_values_keeps_the_first():
+    starts = [("a", np.array([10.0])), ("b", np.array([11.0]))]
+    for prefer in (None, lambda r: -float(r.x[0])):
+        best, _ = multistart_minimize(_cliff(np.nan), starts, prefer=prefer)
+        assert best.x[0] == 10.0
+
+
+def _count_descents(monkeypatch):
+    calls = []
+    real = solvers_mod.minimize_lbfgs
+
+    def counted(fun, x0, *args, **kwargs):
+        calls.append(np.array(x0, dtype=float))
+        return real(fun, x0, *args, **kwargs)
+    monkeypatch.setattr(solvers_mod, "minimize_lbfgs", counted)
+    return calls
+
+
+def _tilted(x):
+    v = (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0] + 0.5 * x[1] ** 2
+    return float(v), np.array([4 * x[0] * (x[0] ** 2 - 1.0) + 0.1, x[1]])
+
+
+def test_multistart_runs_one_descent_per_distinct_start(monkeypatch):
+    cfg = SolverConfig(max_iter=50)
+    a, b, c = np.array([-0.9, 0.2]), np.array([0.9, -0.1]), np.array([2.5, 0.0])
+    starts = [("a", a), ("b", b), ("a-again", a.copy()), ("c", c), ("b-again", b.copy())]
+    everyone = [minimize_lbfgs(_tilted, x0, cfg) for _, x0 in starts]
+    calls = _count_descents(monkeypatch)
+    best, diag = multistart_minimize(_tilted, starts, cfg,
+                                     prefer=lambda r: float(r.x[1]))
+    assert len(calls) == 3
+    want = [{"start": label, "value": r.value, "grad_norm": r.grad_norm,
+             "iterations": r.iterations, "n_evals": r.n_evals, "status": r.status}
+            for (label, _), r in zip(starts, everyone)]
+    assert diag["starts"] == want
+    assert diag["iterations"] == sum(r.iterations for r in everyone)
+    assert diag["evals"] == sum(r.n_evals for r in everyone)
+    assert best.x.tobytes() == everyone[0].x.tobytes()
+    # nothing carries over to the next call
+    multistart_minimize(_tilted, starts, cfg)
+    assert len(calls) == 6
+
+
+def test_multistart_keeps_signed_zero_starts_apart(monkeypatch):
+    calls = _count_descents(monkeypatch)
+    _, diag = multistart_minimize(_tilted, [("plus", np.array([0.0, 0.0])),
+                                            ("minus", np.array([-0.0, 0.0])),
+                                            ("plus-again", np.array([0.0, 0.0]))])
+    assert [np.signbit(x[0]) for x in calls] == [False, True]
+    assert [s["start"] for s in diag["starts"]] == ["plus", "minus", "plus-again"]
+
+
+def _same_result(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert (repr(a.value), repr(a.grad_norm), a.iterations, a.n_evals,
+            a.converged, a.status) == (repr(b.value), repr(b.grad_norm),
+                                       b.iterations, b.n_evals, b.converged,
+                                       b.status)
+
+
+def test_value_only_trials_leave_the_descent_unchanged():
+    def rosen(x):
+        a, b = 1.0, 100.0
+        v = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+        g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
+                      2 * b * (x[1] - x[0] ** 2)])
+        return float(v), g
+    cfg = SolverConfig(max_iter=2000, grad_tol=1e-10)
+    plain = minimize_lbfgs(rosen, np.array([-1.2, 1.0]), cfg)
+    grads = []
+
+    def counted(x):
+        grads.append(1)
+        return rosen(x)
+    fast = minimize_lbfgs(counted, np.array([-1.2, 1.0]), cfg,
+                          value=lambda x: rosen(x)[0])
+    _same_result(fast, plain)
+    assert plain.n_evals > plain.iterations + 1      # it did backtrack
+    assert len(grads) < plain.n_evals

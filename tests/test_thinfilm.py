@@ -620,7 +620,7 @@ def test_loaded_film_takes_one_newton_step(monkeypatch):
     assert (info["status"], info["iterations"], info["evals"]) == ("ok", 2, 2)
     real = thinfilm.multistart_minimize
 
-    def lbfgs(fun, starts, config, newton=None):
+    def lbfgs(fun, starts, config, newton=None, value=None):
         return real(fun, starts, SolverConfig(grad_tol=1e-10))
     monkeypatch.setattr(thinfilm, "multistart_minimize", lbfgs)
     ref_value, ref_field, _, _ = thinfilm._minimize_film(problem, 0.25)
@@ -632,3 +632,21 @@ def test_study_rows_report_energy_evaluations():
     study = convergence_study(quad_problem())
     for row in study.rows:
         assert row["evals"] >= row["iterations"] >= 1
+
+
+def test_film_value_closure_is_bitwise(monkeypatch):
+    seen = []
+    real = thinfilm.multistart_minimize
+
+    def spy(fun, starts, *args, **kwargs):
+        seen.append((fun, kwargs["value"], [x for _, x in starts]))
+        return real(fun, starts, *args, **kwargs)
+    monkeypatch.setattr(thinfilm, "multistart_minimize", spy)
+    loads = LoadSystem(f=np.array([0.1, -0.2, 0.3]),
+                       g0=(np.array([0.0, 0.0, 0.4]), np.array([0.0, 0.0, -0.4])))
+    problem = quad_problem(loads=loads, epsilons=(0.5,))
+    minimize_thin_film(problem, 0.5)
+    rng = np.random.default_rng(4)
+    (fun, value, starts), = seen
+    for x in starts + [x + 0.1 * rng.normal(size=x.shape) for x in starts]:
+        assert np.float64(value(x)).tobytes() == np.float64(fun(x)[0]).tobytes()
