@@ -9,7 +9,9 @@ two-dimensional limit functional as the thickness goes to zero.
 Modules
 -------
 integrand : stored energy families, heterogeneity, growth metadata
-field     : structured meshes, scaled gradients, energy assembly
+field     : structured meshes and energy assembly; ``EnergyContext`` is
+            the one entry point for gradients, energies and their
+            derivatives
 solvers   : descent machinery (quasi-Newton with backtracking)
 cell      : unit-cell relaxation problems (membrane, Cosserat, 3D)
 thinfilm  : scaled thin-film energies and thickness-convergence studies
@@ -25,8 +27,8 @@ from .integrand import (
     composite_density, density_from_config, verify_growth,
 )
 from .field import (
-    CellMesh, DiscreteField, scaled_gradient, energy_integral,
-    energy_gradient, transverse_average, refine_mesh, inject,
+    CellMesh, DiscreteField, EnergyContext, transverse_average, refine_mesh,
+    inject,
 )
 from .cell import (
     LSearchConfig, InnerConfig, CellProblemSpec, CellSolution,

@@ -333,8 +333,9 @@ class QuasiconvexSurrogate:
     honest way to report periodic-form values for nonconvex W; this
     surrogate makes it affordable by quantizing the gradient argument to
     a fixed lattice, solving the unit-cube problem on a coarse sub-mesh
-    and caching.  When the heterogeneity does not vary in x3 the cache
-    key drops x3.  Results are deterministic because the solve is.
+    and caching.  The cache key drops x3 only for a spatially constant
+    modulation (equal ``bounds()``).  Results are deterministic because
+    the solve is.
     """
 
     def __init__(self, W, spec: CellProblemSpec):
@@ -629,7 +630,7 @@ def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None) -> float:
     """
     F = np.asarray(F, dtype=float).reshape(3, 3)
     x0 = x0 or MaterialPoint((0.5, 0.5), 0.0)
-    a_mod = float(W.modulation_values(np.asarray(x0.x_alpha), np.asarray(x0.x3)))
+    a_mod = float(W.modulation.value(np.asarray(x0.x_alpha), np.asarray(x0.x3)))
 
     def energy(M):
         return a_mod * float(W.family.energy(M))

@@ -415,6 +415,9 @@ def cmd_check(config, out_dir=None, export=None, argv=None):
     names = resolved["check"]["names"]
     if names is None:
         names = list(CHECKS)
+    elif not isinstance(names, (list, tuple)):
+        raise ConfigError("config key 'check.names' must be a list of check "
+                          f"names, got {names!r}")
     for name in names:
         if name not in CHECKS:
             raise ConfigError(
@@ -447,22 +450,18 @@ def cmd_check(config, out_dir=None, export=None, argv=None):
 # Entry point
 # ---------------------------------------------------------------------------
 
+# name: (function, help text, body keys echoed on the summary line)
 _COMMANDS = {
-    "density": cmd_density,
-    "cosserat": cmd_cosserat,
-    "qcx": cmd_qcx,
-    "gamma": cmd_gamma,
-    "tabulate": cmd_tabulate,
-    "check": cmd_check,
-}
-
-_SUMMARY_KEYS = {
-    "density": ("value", "l_star"),
-    "cosserat": ("value", "l_star"),
-    "qcx": ("value", "raw_value"),
-    "gamma": ("ok",),
-    "tabulate": ("values_sha256",),
-    "check": ("all_ok",),
+    "density": (cmd_density, "membrane density at one (x0, fbar)",
+                ("value", "l_star")),
+    "cosserat": (cmd_cosserat, "Cosserat density at one (x0, fbar, z)",
+                 ("value", "l_star")),
+    "qcx": (cmd_qcx, "quasiconvex envelope at one 3x3 gradient",
+            ("value", "raw_value")),
+    "gamma": (cmd_gamma, "thickness sweep against the limit model", ("ok",)),
+    "tabulate": (cmd_tabulate, "build a density table over a sampling grid",
+                 ("values_sha256",)),
+    "check": (cmd_check, "internal consistency checks", ("all_ok",)),
 }
 
 
@@ -472,15 +471,7 @@ def main(argv=None):
         description="Effective membrane densities for heterogeneous thin "
                     "films: cell problems, limit-model studies, tables.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "density": "membrane density at one (x0, fbar)",
-        "cosserat": "Cosserat density at one (x0, fbar, z)",
-        "qcx": "quasiconvex envelope at one 3x3 gradient",
-        "gamma": "thickness sweep against the limit model",
-        "tabulate": "build a density table over a sampling grid",
-        "check": "internal consistency checks",
-    }
-    for name, text in helps.items():
+    for name, (_, text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, metavar="YAML",
                        help="run configuration file (defaults if omitted)")
@@ -491,12 +482,13 @@ def main(argv=None):
         p.add_argument("--export", choices=("csv",), default=None,
                        help="also write a plot-ready CSV next to the report")
     args = parser.parse_args(argv)
+    command, _, summary_keys = _COMMANDS[args.command]
     try:
         config = load_config(args.config) if args.config else resolve_config({})
         if args.seed is not None:
             config["seed"] = args.seed
             config = resolve_config(config)
-        code, report = _COMMANDS[args.command](
+        code, report = command(
             config, out_dir=args.out, export=args.export,
             argv=list(sys.argv[1:]) if argv is None else list(argv))
     except ConfigError as exc:
@@ -509,7 +501,7 @@ def main(argv=None):
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     parts = [f"{args.command}: exit {code}"]
-    for key in _SUMMARY_KEYS[args.command]:
+    for key in summary_keys:
         if key in report["body"]:
             parts.append(f"{key}={report['body'][key]}")
     parts.append(f"body_sha256={report['body_sha256'][:16]}")

@@ -52,10 +52,9 @@ __all__ = [
     "PINNED", "PERIODIC", "OPEN",
     "CellMesh", "SheetMesh", "DiscreteField", "KinematicOperator",
     "grid_operator", "kinematic_operator", "value_operator",
-    "affine_values", "pinned_values", "trapezoid_weights", "scaled_gradient",
-    "energy_integral", "energy_gradient", "EnergyContext",
+    "affine_values", "pinned_values", "trapezoid_weights", "EnergyContext",
     "transverse_average", "refine_mesh", "inject",
-    "pack", "unpack", "reduce_gradient", "free_size",
+    "pack", "unpack", "free_size",
 ]
 
 LATERAL_ZERO = "lateral-zero"
@@ -509,19 +508,6 @@ def affine_values(mesh, fbar, z=None):
 # Gradients and integrals
 # ---------------------------------------------------------------------------
 
-def scaled_gradient(field: DiscreteField, transverse_scale: float = 1.0):
-    """Scaled gradients at quadrature points, shape (n1, n2, n3, nq, 3, 3).
-
-    Entry [..., d, a] is the derivative of component d along direction a,
-    with the transverse direction a = 2 multiplied by ``transverse_scale``.
-    """
-    mesh = field.mesh
-    op = kinematic_operator(mesh, (OPEN, OPEN, OPEN))
-    G = (op.B @ field.values.ravel()).reshape(mesh.counts + (-1, 3, 3))
-    G[..., 2] *= transverse_scale
-    return G
-
-
 class EnergyContext:
     """Precomputed data for repeated energy/gradient evaluation.
 
@@ -572,7 +558,7 @@ class EnergyContext:
         if x_mode == "point":
             # Both coordinates frozen: the heterogeneity is sampled once.
             xa = np.asarray(x0.x_alpha, dtype=float)
-            const = float(W.modulation_values(xa, np.asarray(x0.x3)))
+            const = float(W.modulation.value(xa, np.asarray(x0.x3)))
             self.modv = np.full(q3.size, const)
         else:
             if x_mode == "frozen":
@@ -581,7 +567,7 @@ class EnergyContext:
                 xa[..., 1] = x0.x_alpha[1]
             else:
                 xa = np.stack([q1, q2], axis=-1)
-            self.modv = np.asarray(W.modulation_values(xa, q3), dtype=float).ravel()
+            self.modv = np.asarray(W.modulation.value(xa, q3), dtype=float).ravel()
         self.inplane_offset = (None if inplane_offset is None
                                else np.asarray(inplane_offset, dtype=float).reshape(3, 2))
         self.transverse_offset = (None if transverse_offset is None
@@ -678,32 +664,8 @@ class EnergyContext:
         return val, grad
 
 
-def energy_integral(W, field: DiscreteField, transverse_scale=1.0, prefactor=1.0,
-                    x_mode="full", x0=None, inplane_offset=None,
-                    transverse_offset=None) -> float:
-    """Quadrature value of prefactor * Int W(x; G(u; scale) + offsets) dx."""
-    ctx = EnergyContext(W, field.mesh, transverse_scale, prefactor, x_mode, x0,
-                        inplane_offset, transverse_offset)
-    return ctx.value(field.values)
-
-
-def energy_gradient(W, field: DiscreteField, transverse_scale=1.0, prefactor=1.0,
-                    x_mode="full", x0=None, inplane_offset=None,
-                    transverse_offset=None):
-    """Exact gradient of ``energy_integral`` w.r.t. free nodal values.
-
-    Returned with full nodal shape: constrained nodes carry zero, and in
-    the periodic modes the twin-face contributions are folded onto the
-    representative nodes.
-    """
-    ctx = EnergyContext(W, field.mesh, transverse_scale, prefactor, x_mode, x0,
-                        inplane_offset, transverse_offset)
-    _, grad = ctx.value_and_grad(field.values)
-    return reduce_gradient(grad, field.mesh)
-
-
 # ---------------------------------------------------------------------------
-# Boundary modes: packing free dofs and reducing gradients
+# Boundary modes: packing and unpacking free dofs
 # ---------------------------------------------------------------------------
 
 def _dof_axes(mesh):
@@ -745,22 +707,6 @@ def unpack(vec, mesh, datum=None):
 def pinned_values(mesh, datum):
     """Nodal values equal to ``datum`` on pinned nodes and zero on free ones."""
     return unpack(np.zeros(free_size(mesh)), mesh, datum)
-
-
-def reduce_gradient(grad, mesh: CellMesh):
-    """Fold a raw nodal gradient onto the free parametrization.
-
-    Periodic twins accumulate onto representatives; constrained nodes are
-    zeroed.  The result has full nodal shape and satisfies
-    ``pack(reduce_gradient(g)) == d(energy)/d(packed dofs)``.
-    """
-    dof, first = _layout(mesh)
-    free = dof >= 0
-    folded = np.zeros((first.size, 3))
-    np.add.at(folded, dof[free], np.asarray(grad).reshape(-1, 3)[free])
-    out = np.zeros(mesh.node_shape + (3,))
-    out.reshape(-1, 3)[first] = folded
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -370,9 +370,6 @@ class _PNorm:
     def energy(self, F):
         return self.scale * frobenius(F) ** self.p
 
-    def stress(self, F):
-        return self.energy_stress(F)[1]
-
     def energy_stress(self, F):
         """Energy and stress from one Frobenius norm."""
         F = np.asarray(F, dtype=float)
@@ -426,13 +423,11 @@ class _AnisoQuadratic:
         v = np.asarray(F, dtype=float).reshape(*np.shape(F)[:-2], 9)
         return 0.5 * np.einsum("...i,ij,...j->...", v, self.cmat, v)
 
-    def stress(self, F):
+    def energy_stress(self, F):
         shape = np.shape(F)
         v = np.asarray(F, dtype=float).reshape(*shape[:-2], 9)
-        return np.einsum("ij,...j->...i", self.cmat, v).reshape(shape)
-
-    def energy_stress(self, F):
-        return self.energy(F), self.stress(F)
+        stress = np.einsum("ij,...j->...i", self.cmat, v).reshape(shape)
+        return self.energy(F), stress
 
     def base_growth(self):
         return GrowthSpec(2.0, 0.5 * self._eig_min, max(0.5 * self._eig_max, 0.5 * self._eig_min))
@@ -488,9 +483,6 @@ class _TwoWell:
     def energy(self, F):
         d1, d2 = self._dists(F)
         return np.minimum(d1, d2)
-
-    def stress(self, F):
-        return self.energy_stress(F)[1]
 
     def energy_stress(self, F):
         """Energy and stress from one pair of well distances."""
@@ -567,24 +559,21 @@ class StoredEnergyDensity:
         pt = _as_point(x)
         self._check_domain(pt)
         a = self.modulation.value(np.asarray(pt.x_alpha), pt.x3)
-        return float(a) * self.family.stress(np.asarray(F, dtype=float))
+        return float(a) * self.family.energy_stress(np.asarray(F, dtype=float))[1]
 
     # -- array interface ----------------------------------------------------
-
-    def modulation_values(self, x_alpha, x3):
-        return self.modulation.value(x_alpha, x3)
 
     def energy_array(self, modv, F):
         return np.asarray(modv) * self.family.energy(F)
 
     def stress_array(self, modv, F):
-        return np.asarray(modv)[..., None, None] * self.family.stress(F)
+        return self.energy_stress_array(modv, F)[1]
 
     def energy_stress_array(self, modv, F):
-        """``(energy_array(modv, F), stress_array(modv, F))`` in one pass.
+        """Energy and stress at every point in one pass.
 
         The family shares its norm or well distances between the two;
-        every value is bitwise the one the separate calls return.
+        the energy is bitwise ``energy_array(modv, F)``.
         """
         modv = np.asarray(modv)
         energy, stress = self.family.energy_stress(F)
@@ -785,7 +774,7 @@ def verify_growth(W: StoredEnergyDensity, n_samples=512, fmax=1e3) -> GrowthRepo
     F = (direction / norms[:, None] * radius[:, None]).reshape(-1, 3, 3)
 
     xa = np.stack([x1, x2], axis=-1)
-    modv = W.modulation_values(xa, x3)
+    modv = W.modulation.value(xa, x3)
     values = W.energy_array(modv, F)
     fn = frobenius(F)
     lower = W.growth.lower(fn)

@@ -44,9 +44,7 @@ from itertools import product
 
 import numpy as np
 
-from .integrand import (
-    MaterialPoint, StoredEnergyDensity, density_from_config,
-)
+from .integrand import MaterialPoint, StoredEnergyDensity
 from .cell import (
     CellProblemSpec, CellSolveError, cosserat_density, membrane_density,
 )
@@ -500,11 +498,6 @@ def load_table(path) -> DensityTable:
     values = np.frombuffer(block, dtype="<f8").astype(float)
     return DensityTable(grid, kind, values.reshape(grid.shape),
                         mask.astype(np.uint8).reshape(grid.shape), provenance)
-
-
-def table_integrand(table: DensityTable) -> StoredEnergyDensity:
-    """Rebuild the integrand a table was sampled from (provenance config)."""
-    return density_from_config(table.provenance["integrand"])
 
 
 def export_csv(table: DensityTable, path):

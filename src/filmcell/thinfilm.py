@@ -282,12 +282,6 @@ def _rounded_values(fbar, z):
                          f"magnitude, got fbar={fbar!r}, z={z!r}") from None
 
 
-def _round_point(fbar, z):
-    """(fbar, z) rounded to 12 decimals, -0.0 made +0.0: views of one 9-vector."""
-    point = np.array(_rounded_values(fbar, z))
-    return point[:6].reshape(3, 2), point[6:]
-
-
 class CellDensitySource:
     """Transverse-vector effective density evaluated by nested cell solves.
 
@@ -393,8 +387,8 @@ class TableDensitySource:
         self.table = table
 
     def evaluate(self, x_alpha, fbar, z):
-        fbar, z = _round_point(fbar, z)
-        return self._interp(self.table, self.x_sub or x_alpha, fbar, z)
+        values = _rounded_values(fbar, z)
+        return self._interp(self.table, self.x_sub or x_alpha, values[:6], values[6:])
 
 
 def _limit_load_vectors(loads: LoadSystem, sheet: SheetMesh):

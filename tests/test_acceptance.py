@@ -29,12 +29,8 @@ from filmcell.field import (
     LATERAL_PERIODIC,
     LATERAL_ZERO,
     CellMesh,
-    DiscreteField,
-    energy_gradient,
-    energy_integral,
+    EnergyContext,
     free_size,
-    pack,
-    unpack,
 )
 from filmcell.integrand import (
     MaterialPoint,
@@ -206,7 +202,7 @@ def test_criterion_03_forms_agree_on_convex_families():
         a = solve_membrane(W, spec).value
         b = solve_membrane_periodic(W, spec).value
         gap = abs(a - b)
-        assert gap <= two_tol(a), (W.label, x0, gap)
+        assert gap <= two_tol(a), (W.family_label, x0, gap)
         worst = max(worst, gap / (1.0 + abs(a)))
     _report(3, "clamped and periodic membrane forms agree", True,
             f"max_scaled_gap={worst:.2e}")
@@ -242,7 +238,7 @@ def test_criterion_04_minimize_over_z_identity():
         direct = solve_membrane(W, spec).value
         joint, _ = solve_minz(W, replace(spec, z=np.zeros(3)))
         gap = abs(joint.value - direct)
-        assert gap <= two_tol(direct), (W.label, gap)
+        assert gap <= two_tol(direct), (W.family_label, gap)
         worst = max(worst, gap / (1.0 + abs(direct)))
     _report(4, "minimizing the transverse vector recovers the membrane",
             True, f"max_scaled_gap={worst:.2e}")
@@ -274,7 +270,7 @@ def test_criterion_06_convexity_structure():
         vp = solve_cosserat(W, replace(spec, z=zp)).value
         v0 = solve_cosserat(W, replace(spec, z=0.5 * (zm + zp))).value
         excess = v0 - 0.5 * (vm + vp)
-        assert excess <= two_tol(v0), (W.label, i, excess)
+        assert excess <= two_tol(v0), (W.family_label, i, excess)
         worst_z = max(worst_z, excess / (1.0 + abs(v0)))
 
     ffam = [W_QUAD] * 8 + [W_ANISO] * 4 + [W_LAM] * 4 + [W_TW] * 4
@@ -299,7 +295,7 @@ def test_criterion_06_convexity_structure():
         vp = solve_membrane(W, replace(spec, fbar=fp)).value
         v0 = solve_membrane(W, replace(spec, fbar=0.5 * (fm + fp))).value
         excess = v0 - 0.5 * (vm + vp)
-        assert excess <= two_tol(v0), (W.label, i, excess)
+        assert excess <= two_tol(v0), (W.family_label, i, excess)
         worst_f = max(worst_f, excess / (1.0 + abs(v0)))
     _report(6, "transverse convexity and rank-one midpoint inequality",
             True, f"worst_z={worst_z:.2e} worst_rank1={worst_f:.2e}")
@@ -356,7 +352,7 @@ def test_criterion_08_derivatives_match_differences():
             S = np.asarray(W.stress(pt, F))
             G = fd_stress(W, pt, F)
             err = float(np.max(np.abs(S - G))) / (1.0 + float(np.max(np.abs(G))))
-            assert err <= 1e-6, (W.label, err)
+            assert err <= 1e-6, (W.family_label, err)
             worst = max(worst, err)
             checked += 1
             n += 1
@@ -371,19 +367,15 @@ def test_criterion_08_derivatives_match_differences():
     h = 1e-6
     for mesh, W, scale in grad_cases:
         vec = 0.2 * rng.normal(size=free_size(mesh))
-        field = DiscreteField(mesh, unpack(vec, mesh))
-        red = pack(energy_gradient(W, field, transverse_scale=scale), mesh)
+        ctx = EnergyContext(W, mesh, transverse_scale=scale)
+        _, red = ctx.value_and_grad(vec)
         for k in rng.choice(len(vec), size=8, replace=False):
             vp, vm = vec.copy(), vec.copy()
             vp[k] += h
             vm[k] -= h
-            fp = energy_integral(W, DiscreteField(mesh, unpack(vp, mesh)),
-                                 transverse_scale=scale)
-            fm = energy_integral(W, DiscreteField(mesh, unpack(vm, mesh)),
-                                 transverse_scale=scale)
-            fd = (fp - fm) / (2 * h)
+            fd = (ctx.value(vp) - ctx.value(vm)) / (2 * h)
             err = abs(red[k] - fd) / max(1.0, abs(fd))
-            assert err <= 1e-6, (W.label, mesh.boundary_mode, k, err)
+            assert err <= 1e-6, (W.family_label, mesh.boundary_mode, k, err)
             worst = max(worst, err)
             checked += 1
     ok = checked == 100

@@ -292,6 +292,7 @@ def test_main_density_end_to_end(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert printed.startswith("density: exit 0")
+    assert "value=" in printed and "l_star=" in printed
     assert "body_sha256=" in printed
     report = json.loads((out / "density.json").read_text())
     assert abs(report["body"]["value"] - 1.0) < 1e-8
@@ -327,9 +328,46 @@ def test_main_requires_subcommand():
         main(["frobnicate"])
 
 
-def test_main_check_subset(tmp_path):
+def test_main_check_subset(tmp_path, capsys):
     cfg_path = tmp_path / "check.yaml"
     cfg_path.write_text(yaml.safe_dump(
         {"check": {"names": ["scaled-affine", "determinism"]},
          "cell": {"mesh": {"n1": 2, "n2": 2, "n3": 2}}}))
     assert main(["check", "--config", str(cfg_path)]) == 0
+    assert "all_ok=True" in capsys.readouterr().out
+
+
+def test_cmd_check_rejects_names_that_are_not_a_list(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="check.names"):
+        cmd_check({"check": {"names": "bounds"}})
+    cfg_path = tmp_path / "check.yaml"
+    cfg_path.write_text("check:\n  names: bounds\n")
+    assert main(["check", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "check.names" in err and "unknown check" not in err
+
+
+@pytest.mark.parametrize("command", ["density", "cosserat", "qcx", "gamma",
+                                     "tabulate", "check"])
+def test_main_help_for_every_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import filmcell
+
+    checked = 0
+    for info in pkgutil.iter_modules(filmcell.__path__):
+        if info.name == "__main__":     # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"filmcell.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"filmcell.{info.name}.{name}"
+            checked += 1
+    assert checked > 0

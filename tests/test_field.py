@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from filmcell.field import (FULLY_PERIODIC, LATERAL_AFFINE, LATERAL_PERIODIC,
                             LATERAL_ZERO, OPEN, CellMesh, DiscreteField,
-                            EnergyContext, affine_values, energy_gradient,
-                            energy_integral, free_size, inject,
-                            kinematic_operator, pack, reduce_gradient,
-                            refine_mesh, scaled_gradient, transverse_average,
-                            unpack)
+                            EnergyContext, affine_values, free_size, inject,
+                            kinematic_operator, pack, refine_mesh,
+                            transverse_average, unpack)
 from filmcell.integrand import (MaterialPoint, PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
                                 pnorm_density, two_well_density)
@@ -58,7 +56,7 @@ def test_affine_values_reproduce_gradient():
     fbar = np.array([[0.3, -0.1], [0.0, 0.5], [0.2, 0.0]])
     z = np.array([0.1, -0.2, 0.4])
     field = DiscreteField(mesh, affine_values(mesh, fbar, z))
-    G = scaled_gradient(field)
+    G = EnergyContext(W2, mesh).gradients(field.values)
     want = np.concatenate([fbar, z[:, None]], axis=1)
     assert np.max(np.abs(G - want)) < 1e-13
 
@@ -67,7 +65,7 @@ def test_scaled_gradient_transverse_scale():
     mesh = CellMesh(2, 2, 2)
     z = np.array([0.0, 0.0, 1.0])
     field = DiscreteField(mesh, affine_values(mesh, np.zeros((3, 2)), z))
-    G = scaled_gradient(field, transverse_scale=4.0)
+    G = EnergyContext(W2, mesh, transverse_scale=4.0).gradients(field.values)
     assert G[..., 2, 2] == pytest.approx(4.0)
 
 
@@ -76,10 +74,10 @@ def test_energy_integral_affine_quadratic():
     mesh = CellMesh(3, 3, 3)
     fbar = np.array([[0.5, 0.0], [0.0, -0.3], [0.1, 0.2]])
     field = DiscreteField(mesh, affine_values(mesh, fbar))
-    val = energy_integral(W2, field)
+    val = EnergyContext(W2, mesh).value(field.values)
     # measure of the cell is 2 (unit square times (-1, 1))
     assert val == pytest.approx(2.0 * np.sum(fbar ** 2), rel=1e-12)
-    val_half = energy_integral(W2, field, prefactor=0.5)
+    val_half = EnergyContext(W2, mesh, prefactor=0.5).value(field.values)
     assert val_half == pytest.approx(np.sum(fbar ** 2), rel=1e-12)
 
 
@@ -87,19 +85,14 @@ def test_energy_gradient_matches_fd():
     mesh = CellMesh(2, 2, 2, boundary_mode=LATERAL_ZERO)
     rng = np.random.default_rng(0)
     vec = 0.1 * rng.normal(size=free_size(mesh))
-    field = DiscreteField(mesh, unpack(vec, mesh))
-    grad = energy_gradient(W2, field, transverse_scale=1.7)
-    red = pack(grad, mesh)
+    ctx = EnergyContext(W2, mesh, transverse_scale=1.7)
+    _, red = ctx.value_and_grad(vec)
     h = 1e-6
     for k in rng.choice(len(vec), size=8, replace=False):
         vp, vm = vec.copy(), vec.copy()
         vp[k] += h
         vm[k] -= h
-        fp = energy_integral(W2, DiscreteField(mesh, unpack(vp, mesh)),
-                             transverse_scale=1.7)
-        fm = energy_integral(W2, DiscreteField(mesh, unpack(vm, mesh)),
-                             transverse_scale=1.7)
-        assert rel_err(red[k], (fp - fm) / (2 * h)) < 1e-6
+        assert rel_err(red[k], (ctx.value(vp) - ctx.value(vm)) / (2 * h)) < 1e-6
 
 
 @pytest.mark.parametrize("mode,expect", [
@@ -213,8 +206,8 @@ def test_refine_and_inject_preserve_function():
     up = inject(field)
     # trilinear functions are reproduced exactly at the fine nodes
     assert np.allclose(up.values[::2, ::2, ::2], field.values, atol=1e-14)
-    v = energy_integral(W2, field)
-    v_up = energy_integral(W2, up)
+    v = EnergyContext(W2, mesh).value(field.values)
+    v_up = EnergyContext(W2, fine).value(up.values)
     assert v_up == pytest.approx(v, rel=1e-12)
 
 
@@ -224,20 +217,24 @@ def test_nonconvex_energy_assembly_positive():
     mesh = CellMesh(2, 2, 2)
     rng = np.random.default_rng(10)
     field = rand_field(mesh, rng)
-    assert energy_integral(W, field) >= 0.0
+    assert EnergyContext(W, mesh).value(field.values) >= 0.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=15, deadline=None)
-def test_reduce_gradient_is_adjoint_of_unpack(seed):
-    # <grad, unpack(e)> == <pack(reduce(grad)), e> for all basis e
-    mesh = CellMesh(2, 2, 2, boundary_mode=LATERAL_PERIODIC)
+def test_free_dof_adjoint_matches_nodal_adjoint_through_unpack(seed):
+    # <B_open^T s, unpack(x)> == <B_mode^T s, x>: periodic twins fold onto
+    # their representative in the free-dof operator's adjoint
     rng = np.random.default_rng(seed)
-    grad = rng.normal(size=mesh.node_shape + (3,))
-    vec = rng.normal(size=free_size(mesh))
-    lhs = float(np.sum(grad * unpack(vec, mesh)))
-    rhs = float(pack(reduce_gradient(grad, mesh), mesh) @ vec)
-    assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+    for mode in (LATERAL_PERIODIC, FULLY_PERIODIC):
+        mesh = CellMesh(2, 3, 2, boundary_mode=mode)
+        free = kinematic_operator(mesh)
+        nodal = kinematic_operator(mesh, (OPEN, OPEN, OPEN))
+        s = rng.normal(size=free.B.shape[0])
+        x = rng.normal(size=free_size(mesh))
+        lhs = float(nodal.adjoint(s) @ unpack(x, mesh).ravel())
+        rhs = float(free.adjoint(s) @ x)
+        assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
 
 
 MODES = [LATERAL_ZERO, LATERAL_PERIODIC, LATERAL_AFFINE, FULLY_PERIODIC]
@@ -322,7 +319,7 @@ def test_operator_cache_keys_on_geometry():
     # each entry carries its own spacings: the x1-slope of an affine field
     fbar = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     for mesh in (a, b):
-        G = scaled_gradient(DiscreteField(mesh, affine_values(mesh, fbar)))
+        G = EnergyContext(W2, mesh).gradients(affine_values(mesh, fbar))
         assert np.allclose(G[..., 0, 0], 1.0, atol=1e-13)
 
 

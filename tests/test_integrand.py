@@ -121,7 +121,7 @@ def test_energy_stress_array_matches_separate_calls_bitwise(label, W, n_zero):
         assert np.sum(d1 == d2) >= 12
     xa = rng.uniform(0.0, 1.0, (40, 2))
     x3 = rng.uniform(-1.0, 1.0, 40)
-    modv = W.modulation_values(xa, x3)
+    modv = W.modulation.value(xa, x3)
     e, S = W.energy_stress_array(modv, F)
     assert e.tobytes() == W.energy_array(modv, F).tobytes()
     assert S.tobytes() == W.stress_array(modv, F).tobytes()

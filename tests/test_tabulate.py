@@ -7,7 +7,8 @@ import pytest
 
 from filmcell.cell import CellProblemSpec, membrane_density
 from filmcell.field import CellMesh
-from filmcell.integrand import GrowthSpec, MaterialPoint, pnorm_density
+from filmcell.integrand import (GrowthSpec, MaterialPoint, density_from_config,
+                                pnorm_density)
 from filmcell.tabulate import (
     INVALID,
     PENDING,
@@ -23,7 +24,6 @@ from filmcell.tabulate import (
     load_table,
     query,
     save_table,
-    table_integrand,
 )
 
 FROZEN = ("frozen", 0.0)
@@ -472,7 +472,7 @@ def test_export_csv(tmp_path):
 
 def test_table_integrand_round_trip():
     table = build_table(W_QUAD, membrane_grid(), "membrane", TEMPLATE)
-    W2 = table_integrand(table)
+    W2 = density_from_config(table.provenance["integrand"])
     assert W2.content_hash() == W_QUAD.content_hash()
     pt = MaterialPoint((0.5, 0.5), 0.0)
     F = np.array([[0.3, 0.0, 0.1], [0.0, 0.2, 0.0], [0.0, 0.0, -0.4]])

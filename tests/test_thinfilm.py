@@ -382,11 +382,10 @@ def test_source_rounding_keys_unchanged():
     cases.append((np.full((3, 2), -1e-14), np.array([-0.0, -1e-14, 1e-14])))
     cases.append(([[0.5, 0], [0, -0.3], [0, 0.2]], [0, -1e-13, 1]))
     for fbar, z in cases:
-        f, zz = thinfilm._round_point(fbar, z)
-        assert f.shape == (3, 2) and zz.shape == (3,)
-        assert (f.tobytes(), zz.tobytes()) == two_chains(fbar, z)
-    f, zz = thinfilm._round_point([[-1e-14] * 2] * 3, [-1e-14] * 3)
-    assert f.tobytes() + zz.tobytes() == np.zeros(9).tobytes()
+        values = thinfilm._rounded_values(fbar, z)
+        assert np.array(values).tobytes() == b"".join(two_chains(fbar, z))
+    values = thinfilm._rounded_values([[-1e-14] * 2] * 3, [-1e-14] * 3)
+    assert np.array(values).tobytes() == np.zeros(9).tobytes()
 
 
 def _numpy_rounded_bytes(fbar, z):
@@ -420,8 +419,6 @@ def test_rounded_values_match_numpy_round_bitwise():
         values = thinfilm._rounded_values(fbar, z)
         assert all(type(v) is float for v in values)
         assert np.array(values).tobytes() == b"".join(_numpy_rounded_bytes(fbar, z))
-        f, zz = thinfilm._round_point(fbar, z)
-        assert (f.tobytes(), zz.tobytes()) == _numpy_rounded_bytes(fbar, z)
 
 
 def test_both_sources_use_numpy_rounded_arguments():
@@ -441,7 +438,7 @@ def test_both_sources_use_numpy_rounded_arguments():
         cell.cache[((0.0, 0.0),) + want] = sentinel
         assert cell.evaluate((0.3, 0.7), fbar, z) is sentinel
         table.evaluate((0.3, 0.7), fbar, z)
-        assert (seen[-1][0].tobytes(), seen[-1][1].tobytes()) == want
+        assert np.array(seen[-1][0] + seen[-1][1]).tobytes() == b"".join(want)
     assert cell.solves == 0
 
 
@@ -465,7 +462,8 @@ class _CountingSource:
 
     def evaluate(self, x_alpha, fbar, z):
         self.calls += 1
-        fbar, z = thinfilm._round_point(fbar, z)
+        point = np.array(thinfilm._rounded_values(fbar, z))
+        fbar, z = point[:6].reshape(3, 2), point[6:]
         return float(np.sum(fbar ** 2) + 1.5 * np.sum(z ** 2)), 2.0 * fbar, 3.0 * z
 
 
