@@ -1,6 +1,9 @@
 """Run a thickness sweep from a YAML config and print the gap table.
 
 Usage: python3 scripts/run_convergence.py --config configs/gamma_laminate.yaml
+
+Exits like ``filmcell gamma``: 1 if a thickness failed, 2 if the limit or
+a film solve ran out of iterations, else 0.
 """
 
 import argparse
@@ -36,7 +39,9 @@ def main():
     if args.csv:
         study.to_csv(args.csv)
         print(f"wrote {args.csv}")
-    return 0 if study.ok else 1
+    if not study.converged:
+        print("not converged: the limit or a film solve ran out of iterations")
+    return 1 if not study.ok else 0 if study.converged else 2
 
 
 if __name__ == "__main__":

@@ -40,8 +40,8 @@ from .thinfilm import (SheetMesh, TableDensitySource, ThinFilmProblem,
                        convergence_study, scaled_energy)
 from .tabulate import (SampleGrid, TableParseError, build_table, export_csv,
                        load_table, query, save_table)
-from .config import (ConfigError, build_cell_spec, build_density, build_grid,
-                     build_problem, load_config, resolve_config)
+from .config import (ConfigError, _matrix, build_cell_spec, build_density,
+                     build_grid, build_problem, load_config, resolve_config)
 
 __all__ = ["cmd_density", "cmd_cosserat", "cmd_qcx", "cmd_gamma",
            "cmd_tabulate", "cmd_check", "CHECKS", "main"]
@@ -177,10 +177,7 @@ def cmd_qcx(config, out_dir=None, export=None, argv=None):
     resolved = resolve_config(config)
     W = build_density(resolved)
     spec = build_cell_spec(resolved)
-    try:
-        F = np.asarray(resolved["cell"]["F"], dtype=float).reshape(3, 3)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key 'cell.F' must be a 3x3 array: {exc}") from exc
+    F = _matrix(resolved["cell"]["F"], (3, 3), "cell.F")
     sol = quasiconvexify(W, F, spec)
     x0 = spec.x0
     raw = W.evaluate(x0, F)
@@ -215,20 +212,12 @@ def cmd_gamma(config, out_dir=None, export=None, argv=None):
     else:
         raise ConfigError("config key 'gamma.source' must be 'cell' or 'table'")
     study = convergence_study(problem, source=source)
-    warnings = list(study.limit_info.get("warnings", []))
-    for row in study.rows:
-        warnings.extend(row.get("warnings", []))
-    if any(info.get("status") == "max_iter"
-           for info in [study.limit_info] + study.rows):
-        warnings.append(NOT_CONVERGED_WARNING)
     body = {"command": "gamma", "config": resolved,
             "integrand_hash": problem.W.content_hash(),
             "source": src_kind, "study": study.to_record(),
-            "gaps": study.gaps, "ok": study.ok, "warnings": warnings}
-    code = 0 if study.ok else 1
-    if code == 0 and (BOUNDARY_WARNING in warnings
-                      or NOT_CONVERGED_WARNING in warnings):
-        code = 2
+            "gaps": study.gaps, "ok": study.ok,
+            "warnings": [] if study.converged else [NOT_CONVERGED_WARNING]}
+    code = 1 if not study.ok else 0 if study.converged else 2
     return _finish("gamma", body, _meta(t0, argv), out_dir, export,
                    study.to_csv, code)
 
@@ -352,7 +341,7 @@ def _check_z_midpoint_convexity(ctx):
 
 
 def _check_qcx_upper(ctx):
-    F = np.asarray(ctx.resolved["cell"]["F"], dtype=float).reshape(3, 3)
+    F = _matrix(ctx.resolved["cell"]["F"], (3, 3), "cell.F")
     sol = quasiconvexify(ctx.W, F, ctx.spec)
     raw = ctx.W.evaluate(ctx.spec.x0, F)
     ok = sol.value <= raw + ctx.tol_abs(raw)
@@ -415,9 +404,6 @@ def cmd_check(config, out_dir=None, export=None, argv=None):
     names = resolved["check"]["names"]
     if names is None:
         names = list(CHECKS)
-    elif not isinstance(names, (list, tuple)):
-        raise ConfigError("config key 'check.names' must be a list of check "
-                          f"names, got {names!r}")
     for name in names:
         if name not in CHECKS:
             raise ConfigError(

@@ -4,8 +4,13 @@ A run is described by one YAML file with five blocks (integrand, cell,
 gamma, tabulate, check) plus a seed.  Loading deep-merges the user file
 over the package defaults and rejects unknown keys by their dotted path,
 so typos surface as diagnostics instead of silently running defaults.
-The fully resolved mapping (every defaulted field filled in) is what
-reports embed as provenance.
+The merge also checks each value's type, once: it must have the type of
+its default, except that a number key also takes an integer (a boolean
+is never a number), and the keys listed in ``_NULLABLE`` take null or
+the type listed there.  Shapes and cross-key rules are checked where
+the objects are built.  The fully resolved mapping (every defaulted
+field filled in, user values kept as given) is what reports embed as
+provenance.
 
 Loads and heterogeneities may be given as restricted closed-form
 expression strings in (x1, x2, x3); surface loads are evaluated on
@@ -91,6 +96,12 @@ DEFAULTS = {
     },
 }
 
+# Keys that may be null, with the type they take otherwise.
+_NULLABLE = {"gamma.table_path": str, "tabulate.z_axes": list,
+             "tabulate.node_limit": int, "tabulate.resume": str,
+             "check.names": list,
+             **{f"gamma.loads.{k}": list for k in DEFAULTS["gamma"]["loads"]}}
+
 
 def _merge(defaults, user, path):
     if defaults is _OPAQUE:
@@ -116,6 +127,15 @@ def _merge(defaults, user, path):
                 sub = f"{path}.{key}" if path else key
                 raise ConfigError(f"unknown config key '{sub}'")
         return out
+    if user is None and path in _NULLABLE:
+        return None
+    kind = _NULLABLE.get(path, type(defaults))
+    if isinstance(user, bool) or not isinstance(
+            user, (int, float) if kind is float else kind):
+        what = "a number" if kind is float else kind.__name__
+        null = " or null" if path in _NULLABLE else ""
+        raise ConfigError(f"config key '{path}' must be {what}{null}, "
+                          f"got {user!r}")
     return copy.deepcopy(user)
 
 
@@ -125,9 +145,7 @@ def resolve_config(user: dict | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("top-level config must be a mapping")
     resolved = _merge(DEFAULTS, user, "")
-    seed = resolved["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not (
-            0 <= seed < 2 ** 64):
+    if not 0 <= resolved["seed"] < 2 ** 64:
         raise ConfigError("config key 'seed' must be an integer in [0, 2^64)")
     return resolved
 
@@ -144,19 +162,6 @@ def load_config(path) -> dict:
     if user is not None and not isinstance(user, dict):
         raise ConfigError(f"config file {path} must hold a mapping")
     return resolve_config(user)
-
-
-def _need(block, key, kind, path):
-    val = block[key]
-    if kind == "number":
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"config key '{path}' must be a number")
-        return float(val)
-    if kind == "int":
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"config key '{path}' must be an integer")
-        return val
-    raise AssertionError(kind)
 
 
 def _matrix(val, shape, path):
@@ -179,48 +184,34 @@ def build_density(resolved: dict):
 
 def build_cell_spec(resolved: dict, with_z=False) -> CellProblemSpec:
     cc = resolved["cell"]
-    mesh_cfg = cc["mesh"]
-    mesh = CellMesh(_need(mesh_cfg, "n1", "int", "cell.mesh.n1"),
-                    _need(mesh_cfg, "n2", "int", "cell.mesh.n2"),
-                    _need(mesh_cfg, "n3", "int", "cell.mesh.n3"))
-    ls_cfg = cc["l_search"]
-    try:
-        l_search = LSearchConfig(
-            l_min=_need(ls_cfg, "l_min", "number", "cell.l_search.l_min"),
-            l_max=_need(ls_cfg, "l_max", "number", "cell.l_search.l_max"),
-            grid_count=_need(ls_cfg, "grid_count", "int",
-                             "cell.l_search.grid_count"),
-            golden_tol=_need(ls_cfg, "golden_tol", "number",
-                             "cell.l_search.golden_tol"))
-    except ValueError as exc:
-        raise ConfigError(f"config block 'cell.l_search' is invalid: {exc}") from exc
-    ic = cc["inner"]
-    inner = InnerConfig(
-        max_iter=_need(ic, "max_iter", "int", "cell.inner.max_iter"),
-        grad_tol=_need(ic, "grad_tol", "number", "cell.inner.grad_tol"),
-        multistart=_need(ic, "multistart", "int", "cell.inner.multistart"),
-        perturb_scale=_need(ic, "perturb_scale", "number",
-                            "cell.inner.perturb_scale"),
-        seed=resolved["seed"] % (2 ** 32))
-    x0 = cc["x0"]
-    if not (isinstance(x0, (list, tuple)) and len(x0) == 2):
+    ls, ic, x0 = cc["l_search"], cc["inner"], cc["x0"]
+    if len(x0) != 2:
         raise ConfigError("config key 'cell.x0' must be a pair [x1, x2]")
-    return CellProblemSpec(
-        fbar=_matrix(cc["fbar"], (3, 2), "cell.fbar"),
-        x0=MaterialPoint((float(x0[0]), float(x0[1])),
-                         _need(cc, "x3", "number", "cell.x3")),
-        z=_matrix(cc["z"], (3,), "cell.z") if with_z else None,
-        mesh=mesh, l_search=l_search, inner=inner,
-        tol=_need(cc, "tol", "number", "cell.tol"))
+    fbar = _matrix(cc["fbar"], (3, 2), "cell.fbar")
+    z = _matrix(cc["z"], (3,), "cell.z") if with_z else None
+    try:
+        return CellProblemSpec(
+            fbar=fbar,
+            x0=MaterialPoint((float(x0[0]), float(x0[1])), float(cc["x3"])),
+            z=z, mesh=CellMesh(**cc["mesh"]),
+            l_search=LSearchConfig(
+                l_min=float(ls["l_min"]), l_max=float(ls["l_max"]),
+                grid_count=ls["grid_count"],
+                golden_tol=float(ls["golden_tol"])),
+            inner=InnerConfig(
+                max_iter=ic["max_iter"], grad_tol=float(ic["grad_tol"]),
+                multistart=ic["multistart"],
+                perturb_scale=float(ic["perturb_scale"]),
+                seed=resolved["seed"] % (2 ** 32)),
+            tol=float(cc["tol"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config block 'cell' is invalid: {exc}") from exc
 
 
 def _load_entry(val, path, face_x3=None):
     """None, a constant 3-vector, or three expression strings."""
     if val is None:
         return None
-    if not (isinstance(val, (list, tuple)) and len(val) == 3):
-        raise ConfigError(
-            f"config key '{path}' must be null or a 3-component list")
     if any(isinstance(c, str) for c in val):
         try:
             fn = compile_vector([str(c) for c in val])
@@ -229,10 +220,7 @@ def _load_entry(val, path, face_x3=None):
         if face_x3 is None:
             return lambda x1, x2, x3: fn(x1, x2, x3)
         return lambda x1, x2: fn(x1, x2, np.full(np.shape(x1), face_x3))
-    try:
-        return np.asarray(val, dtype=float).reshape(3)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key '{path}' must hold numbers: {exc}") from exc
+    return _matrix(val, (3,), path)
 
 
 def build_loads(resolved: dict) -> LoadSystem:
@@ -249,26 +237,22 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
     gc = resolved["gamma"]
     oc = gc["omega"]
     cell_spec = build_cell_spec(resolved, with_z=True)
-    eps = gc["epsilons"]
-    if not (isinstance(eps, (list, tuple)) and eps):
+    if not gc["epsilons"]:
         raise ConfigError("config key 'gamma.epsilons' must be a non-empty list")
     try:
         return ThinFilmProblem(
             W=build_density(resolved),
-            omega=SheetMesh(_need(oc, "n1", "int", "gamma.omega.n1"),
-                            _need(oc, "n2", "int", "gamma.omega.n2"),
-                            origin=oc["origin"], lengths=oc["lengths"]),
+            omega=SheetMesh(oc["n1"], oc["n2"], origin=oc["origin"],
+                            lengths=oc["lengths"]),
             fbar_bc=_matrix(gc["fbar_bc"], (3, 2), "gamma.fbar_bc"),
             loads=build_loads(resolved),
-            epsilons=tuple(float(e) for e in eps),
-            n3=_need(gc, "n3", "int", "gamma.n3"),
+            epsilons=tuple(float(e) for e in gc["epsilons"]),
+            n3=gc["n3"],
             inner=cell_spec.inner,
-            limit_inner=InnerConfig(
-                grad_tol=_need(gc, "limit_grad_tol", "number",
-                               "gamma.limit_grad_tol"),
-                seed=resolved["seed"] % (2 ** 32)),
+            limit_inner=InnerConfig(grad_tol=float(gc["limit_grad_tol"]),
+                                    seed=resolved["seed"] % (2 ** 32)),
             cell_template=cell_spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"config block 'gamma' is invalid: {exc}") from exc

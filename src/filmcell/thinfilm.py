@@ -567,6 +567,12 @@ class ConvergenceReport:
     def ok(self):
         return all("error" not in r for r in self.rows)
 
+    @property
+    def converged(self):
+        """False when the limit or a film solve ran out of iterations."""
+        return all(info.get("status") != "max_iter"
+                   for info in [self.limit_info] + self.rows)
+
     def to_record(self):
         return {
             "limit_energy": self.limit_energy,

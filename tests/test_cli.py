@@ -1,10 +1,16 @@
 """Tests for config resolution and the command line entry points."""
 
+import importlib.util
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+
+import filmcell.cli as cli
 
 from filmcell.cli import (
     cmd_check,
@@ -15,7 +21,8 @@ from filmcell.cli import (
     cmd_tabulate,
     main,
 )
-from filmcell.config import ConfigError, build_problem, load_config, resolve_config
+from filmcell.config import (_NULLABLE, _OPAQUE, DEFAULTS, ConfigError,
+                             build_problem, load_config, resolve_config)
 
 
 def quad_config(**cell_overrides):
@@ -53,9 +60,91 @@ def test_resolve_validates_seed():
 
 @pytest.mark.parametrize("origin", [[0.0, 0.0, 0.0], 0.0])
 def test_gamma_omega_origin_must_be_a_pair(origin):
-    resolved = resolve_config({"gamma": {"omega": {"origin": origin}}})
+    cfg = {"gamma": {"omega": {"origin": origin}}}
+    if not isinstance(origin, list):
+        # the merge's type rule rejects a non-list before anything is built
+        with pytest.raises(ConfigError, match="gamma.omega.origin"):
+            resolve_config(cfg)
+        return
     with pytest.raises(ConfigError, match="pairs"):
-        build_problem(resolved)
+        build_problem(resolve_config(cfg))
+
+
+def _leaves(tree, path=""):
+    """(dotted path, default) of every non-opaque leaf of a defaults tree."""
+    for key, val in tree.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            yield from _leaves(val, sub)
+        elif val is not _OPAQUE:
+            yield sub, val
+
+
+def _nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def _lookup(resolved, path):
+    for key in path.split("."):
+        resolved = resolved[key]
+    return resolved
+
+
+# values of the wrong type for a key of each type; None is wrong unless
+# the key is nullable
+WRONG_VALUES = {int: [2.5, "2", True, None, [2]],
+                float: ["1.0", True, None, [1.0]],
+                str: [3, None, ["a"], {"a": 1}],
+                list: ["a", 0.0, 3, None, {"a": 1}]}
+
+
+def test_every_default_key_is_type_checked():
+    leaves = dict(_leaves(DEFAULTS))
+    assert {p for p, v in leaves.items() if v is None} <= set(_NULLABLE)
+    assert set(_NULLABLE) <= set(leaves)
+    for path, default in leaves.items():
+        kind = _NULLABLE.get(path, type(default))
+        for bad in WRONG_VALUES[kind]:
+            if bad is None and path in _NULLABLE:
+                continue
+            with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+                resolve_config(_nested(path, bad))
+        if kind is float:       # a number key takes an integer, kept as given
+            value = _lookup(resolve_config(_nested(path, 1)), path)
+            assert value == 1 and type(value) is int
+    for path in _NULLABLE:
+        assert _lookup(resolve_config(_nested(path, None)), path) is None
+    assert len(leaves) > 30
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("tabulate", "tabulate: {node_limit: '2'}", "'tabulate.node_limit'"),
+    ("tabulate", "tabulate: {node_limit: 2.5}", "'tabulate.node_limit'"),
+    ("tabulate", "tabulate: {path: 3}", "'tabulate.path'"),
+    ("tabulate", "tabulate: {resume: 7}", "'tabulate.resume'"),
+    ("gamma", "gamma: {source: table, table_path: 7}", "'gamma.table_path'"),
+    ("density", "cell: {mesh: {n1: 0}}", "'cell' is invalid: need n1"),
+    ("gamma", "gamma: {epsilons: [null]}", "'gamma' is invalid: float()"),
+], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
+        "table_path-int", "mesh-n1-zero", "epsilons-null"])
+def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
+                                           command, text, key):
+    received = []
+
+    def spy(path):
+        # never open the path: an int would be taken as a file descriptor
+        received.append(path)
+        raise AssertionError(f"load_table({path!r}) reached")
+    monkeypatch.setattr(cli, "load_table", spy)
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(text + "\n")
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+    assert received == []
 
 
 def test_load_config_errors(tmp_path):
@@ -156,35 +245,54 @@ def test_cmd_gamma_cell_source(tmp_path):
     assert len(csv_lines) == 3
 
 
-def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
-    import filmcell.cli as cli
-    from dataclasses import replace
+# A loaded study whose limit descent, capped at one iteration, ends at
+# max_iter while every film row converges.
+LOADED_GAMMA = {
+    "integrand": {"family": "pnorm", "params": {"p": 2.0}},
+    "cell": {"mesh": {"n1": 2, "n2": 2, "n3": 2}},
+    "gamma": {
+        "omega": {"n1": 3, "n2": 3},
+        "n3": 2,
+        "fbar_bc": [[0.3, 0.0], [0.0, 0.0], [0.0, 0.1]],
+        "epsilons": [1.0],
+        "loads": {"g0_top": [0.0, 0.0, 0.4], "g0_bottom": [0.0, 0.0, -0.4],
+                  "f": ["0.1*x1", "0", "0"]},
+    },
+}
 
-    real = cli.build_problem
+
+def _cap_limit_iterations(monkeypatch, module):
+    real = module.build_problem
 
     def capped(resolved):
         problem = real(resolved)
         problem.limit_inner = replace(problem.limit_inner, max_iter=1)
         return problem
-    monkeypatch.setattr(cli, "build_problem", capped)
-    cfg = {
-        "integrand": {"family": "pnorm", "params": {"p": 2.0}},
-        "cell": {"mesh": {"n1": 2, "n2": 2, "n3": 2}},
-        "gamma": {
-            "omega": {"n1": 3, "n2": 3},
-            "n3": 2,
-            "fbar_bc": [[0.3, 0.0], [0.0, 0.0], [0.0, 0.1]],
-            "epsilons": [1.0],
-            "loads": {"g0_top": [0.0, 0.0, 0.4], "g0_bottom": [0.0, 0.0, -0.4],
-                      "f": ["0.1*x1", "0", "0"]},
-        },
-    }
-    code, report = cmd_gamma(cfg)
+    monkeypatch.setattr(module, "build_problem", capped)
+
+
+def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
+    _cap_limit_iterations(monkeypatch, cli)
+    code, report = cmd_gamma(LOADED_GAMMA)
     body = report["body"]
     assert body["study"]["limit_info"]["status"] == "max_iter"
     assert body["ok"] is True
     assert "not-converged" in body["warnings"]
     assert code == 2
+
+
+def test_run_convergence_script_flags_an_unconverged_limit(
+        tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
+    spec = importlib.util.spec_from_file_location("run_convergence", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    _cap_limit_iterations(monkeypatch, module)
+    cfg_path = tmp_path / "loaded.yaml"
+    cfg_path.write_text(yaml.safe_dump(LOADED_GAMMA))
+    monkeypatch.setattr("sys.argv", [str(script), "--config", str(cfg_path)])
+    assert module.main() == 2
+    assert "not converged" in capsys.readouterr().out
 
 
 def test_cmd_tabulate_then_gamma_table_source(tmp_path):
