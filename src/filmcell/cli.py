@@ -405,7 +405,7 @@ def cmd_check(config, out_dir=None, export=None, argv=None):
     if names is None:
         names = list(CHECKS)
     for name in names:
-        if name not in CHECKS:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ConfigError(
                 f"config key 'check.names' holds unknown check '{name}'; "
                 f"known: {', '.join(CHECKS)}")

@@ -28,6 +28,7 @@ from .expr import compile_vector
 from .field import CellMesh, SheetMesh
 from .integrand import MaterialPoint, density_from_config
 from .cell import CellProblemSpec, InnerConfig, LSearchConfig
+from .solvers import SolverConfig
 from .thinfilm import LoadSystem, ThinFilmProblem
 from .tabulate import SampleGrid
 
@@ -147,6 +148,8 @@ def resolve_config(user: dict | None) -> dict:
     resolved = _merge(DEFAULTS, user, "")
     if not 0 <= resolved["seed"] < 2 ** 64:
         raise ConfigError("config key 'seed' must be an integer in [0, 2^64)")
+    if (resolved["tabulate"]["node_limit"] or 0) < 0:
+        raise ConfigError("config key 'tabulate.node_limit' must be non-negative")
     return resolved
 
 
@@ -249,8 +252,7 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
             epsilons=tuple(float(e) for e in gc["epsilons"]),
             n3=gc["n3"],
             inner=cell_spec.inner,
-            limit_inner=InnerConfig(grad_tol=float(gc["limit_grad_tol"]),
-                                    seed=resolved["seed"] % (2 ** 32)),
+            limit_inner=SolverConfig(grad_tol=float(gc["limit_grad_tol"])),
             cell_template=cell_spec)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

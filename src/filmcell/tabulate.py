@@ -209,18 +209,19 @@ def _solve_node(W, grid, kind, template, flat_index):
 
 def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat",
                 template: CellProblemSpec | None = None,
-                resume: DensityTable | None = None, node_limit: int | None = None,
-                progress=None) -> DensityTable:
+                resume: DensityTable | None = None,
+                node_limit: int | None = None) -> DensityTable:
     """Solve one cell problem per grid node and collect the results.
 
     ``resume`` continues a partially built table: the grid, kind,
     integrand hash and cell template must match exactly, already-solved
     nodes are kept, and the completed table is bit-for-bit what a fresh
-    build produces.  ``node_limit`` stops after that many newly computed
-    nodes (leaving the rest pending), which is how partial tables arise
-    deliberately; interrupted builds are the accidental source.
-    ``progress`` is called as progress(done, total) after each node.
+    build produces.  ``node_limit`` (>= 0) stops after that many newly
+    computed nodes (leaving the rest pending), which is how partial tables
+    arise deliberately; interrupted builds are the accidental source.
     """
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be non-negative, got {node_limit}")
     if kind not in ("membrane", "cosserat"):
         raise ValueError("table kind must be 'membrane' or 'cosserat'")
     if kind == "cosserat" and grid.z_axes is None:
@@ -252,10 +253,8 @@ def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat"
     if node_limit is not None:
         todo = todo[:node_limit]
 
-    for done, i in enumerate(todo, 1):
+    for i in todo:
         values[i], mask[i] = _solve_node(W, grid, kind, template, i)
-        if progress is not None:
-            progress(done, len(todo))
     return DensityTable(grid, kind, values.reshape(grid.shape),
                         mask.reshape(grid.shape), provenance)
 

@@ -53,7 +53,7 @@ from .field import (
     affine_values, kinematic_operator, pack, pinned_values, trapezoid_weights,
     transverse_average, unpack, value_operator,
 )
-from .solvers import minimize_lbfgs, multistart_minimize
+from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize
 from .cell import CellProblemSpec, InnerConfig, cosserat_density
 
 __all__ = [
@@ -126,7 +126,8 @@ class ThinFilmProblem:
     epsilons: tuple = (1.0, 0.5, 0.25, 0.125)
     n3: int = 8
     inner: InnerConfig = InnerConfig()
-    limit_inner: InnerConfig = InnerConfig(grad_tol=1e-10)
+    limit_inner: SolverConfig = dc_field(
+        default_factory=lambda: SolverConfig(grad_tol=1e-10))
     cell_template: CellProblemSpec | None = None
 
     def __post_init__(self):
@@ -213,7 +214,16 @@ def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> flo
     return ctx.value(u.values) - float(np.sum(ell * u.values))
 
 
-def _minimize_film(problem: ThinFilmProblem, eps: float):
+def minimize_thin_film(problem: ThinFilmProblem, eps: float):
+    """Minimize the scaled film energy at one thickness.
+
+    Descends from the affine clamp datum (plus seeded perturbations for
+    nonconvex integrands).  Returns (energy, field, bbar, info) where
+    bbar is the nodal scaled transverse average (u(+) - u(-)) / (2 eps)
+    and info is the multistart summary of the winning descent.
+    """
+    if not any(abs(eps - e) <= 1e-15 for e in problem.epsilons):
+        raise ValueError(f"thickness eps={eps} is not in the problem's thickness list")
     mesh = problem.film_mesh()
     datum = problem.boundary_datum(mesh)
     ctx = EnergyContext(problem.W, mesh, transverse_scale=1.0 / eps,
@@ -240,19 +250,6 @@ def _minimize_film(problem: ThinFilmProblem, eps: float):
     field = DiscreteField(mesh, unpack(best.x, mesh, datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
     return best.value, field, bbar, info
-
-
-def minimize_thin_film(problem: ThinFilmProblem, eps: float):
-    """Minimize the scaled film energy at one thickness.
-
-    Descends from the affine clamp datum (plus seeded perturbations for
-    nonconvex integrands).  Returns (energy, field, bbar) where bbar is
-    the nodal scaled transverse average (u(+) - u(-)) / (2 eps).
-    """
-    if not any(abs(eps - e) <= 1e-15 for e in problem.epsilons):
-        raise ValueError(f"thickness eps={eps} is not in the problem's thickness list")
-    value, field, bbar, _ = _minimize_film(problem, eps)
-    return value, field, bbar
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +525,17 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
 
 
 def minimize_limit(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc,
-                   config: InnerConfig | None = None):
+                   config: SolverConfig | None = None):
     """Minimize the limit functional over (v, bbar).
 
     v is pinned to the affine datum fbar_bc . x_alpha on the boundary of
     omega; the per-cell bbar is unconstrained.  Returns (energy, v nodal,
     bbar per cell, info).
     """
-    cfg = config or InnerConfig(grad_tol=1e-10)
     fbar_bc = np.asarray(fbar_bc, dtype=float).reshape(3, 2)
     loads.check_compatibility(sheet)
     fun, x0, split = _limit_objective(source, sheet, loads, fbar_bc)
-    res = minimize_lbfgs(fun, x0, cfg.solver())
+    res = minimize_lbfgs(fun, x0, config or SolverConfig(grad_tol=1e-10))
     v, b = split(res.x)
     info = {"iterations": res.iterations, "grad_norm": res.grad_norm,
             "status": res.status}
@@ -593,12 +589,9 @@ class ConvergenceReport:
 
 def _study_row(problem, eps, limit_energy):
     t0 = time.perf_counter()
-    value, field, bbar, info = _minimize_film(problem, eps)
+    value, field, bbar, info = minimize_thin_film(problem, eps)
     seconds = time.perf_counter() - t0
-    if limit_energy != 0.0:
-        gap = (value - limit_energy) / abs(limit_energy)
-    else:
-        gap = value - limit_energy
+    gap = (value - limit_energy) / (abs(limit_energy) or 1.0)
     sheet = field.mesh.sheet()
     w_node = trapezoid_weights(sheet.node_shape)
     h1, h2 = sheet.spacings

@@ -428,7 +428,7 @@ def test_criterion_10_scaled_energies_reach_limit():
     limit = 2.0 * problem.omega.area * wbar
     gaps = []
     for eps in problem.epsilons:
-        value, _, _ = minimize_thin_film(problem, eps)
+        value, _, _, _ = minimize_thin_film(problem, eps)
         gaps.append(abs(value - limit) / abs(limit))
     elapsed = time.perf_counter() - t_start
     monotone = all(b <= a + 1e-12 * (1.0 + a) for a, b in zip(gaps, gaps[1:]))

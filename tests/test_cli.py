@@ -1,10 +1,8 @@
 """Tests for config resolution and the command line entry points."""
 
-import importlib.util
 import json
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +54,12 @@ def test_resolve_validates_seed():
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"seed": 2**64})
     assert resolve_config({"seed": 3})["seed"] == 3
+
+
+def test_resolve_validates_node_limit():
+    with pytest.raises(ConfigError, match=re.escape("'tabulate.node_limit'")):
+        resolve_config({"tabulate": {"node_limit": -1}})
+    assert resolve_config({"tabulate": {"node_limit": 0}})["tabulate"]["node_limit"] == 0
 
 
 @pytest.mark.parametrize("origin", [[0.0, 0.0, 0.0], 0.0])
@@ -127,8 +131,11 @@ def test_every_default_key_is_type_checked():
     ("gamma", "gamma: {source: table, table_path: 7}", "'gamma.table_path'"),
     ("density", "cell: {mesh: {n1: 0}}", "'cell' is invalid: need n1"),
     ("gamma", "gamma: {epsilons: [null]}", "'gamma' is invalid: float()"),
+    ("tabulate", "tabulate: {node_limit: -1}", "'tabulate.node_limit'"),
+    ("check", "check: {names: [[1]]}", "'check.names'"),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
-        "table_path-int", "mesh-n1-zero", "epsilons-null"])
+        "table_path-int", "mesh-n1-zero", "epsilons-null", "node_limit-negative",
+        "check-names-list"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     received = []
@@ -279,20 +286,6 @@ def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
     assert body["ok"] is True
     assert "not-converged" in body["warnings"]
     assert code == 2
-
-
-def test_run_convergence_script_flags_an_unconverged_limit(
-        tmp_path, monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_convergence.py"
-    spec = importlib.util.spec_from_file_location("run_convergence", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    _cap_limit_iterations(monkeypatch, module)
-    cfg_path = tmp_path / "loaded.yaml"
-    cfg_path.write_text(yaml.safe_dump(LOADED_GAMMA))
-    monkeypatch.setattr("sys.argv", [str(script), "--config", str(cfg_path)])
-    assert module.main() == 2
-    assert "not converged" in capsys.readouterr().out
 
 
 def test_cmd_tabulate_then_gamma_table_source(tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
                                 MaterialPoint, PlanarCheckerboard,
@@ -289,6 +289,7 @@ def test_unknown_family_rejected():
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(2.0, 4.0))
 @settings(max_examples=20, deadline=None)
+@example(seed=5102, p=4.0)      # the bound is attained: both sides differ by roundoff
 def test_growth_sandwich_random_points(seed, p):
     W = pnorm_density(p, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
     rng = np.random.default_rng(seed)
@@ -296,8 +297,9 @@ def test_growth_sandwich_random_points(seed, p):
     pt = MaterialPoint((0.5, 0.5), float(rng.uniform(-1, 1)))
     val = W.evaluate(pt, F)
     n = float(np.linalg.norm(F))
-    assert W.growth.lower(n) <= val + 1e-12
-    assert val <= W.growth.upper(n) + 1e-12
+    tol = 1e-12 * (1.0 + abs(val))
+    assert W.growth.lower(n) <= val + tol
+    assert val <= W.growth.upper(n) + tol
 
 
 @given(st.integers(0, 2 ** 32 - 1))

@@ -128,12 +128,14 @@ def test_node_limit_and_resume_bitwise():
     assert done.pending == 0
     assert np.array_equal(done.values, fresh.values)
     assert np.array_equal(done.mask, fresh.mask)
-    # progress reporting covers exactly the remaining nodes
-    seen = []
-    build_table(W_QUAD, grid, "cosserat", TEMPLATE, resume=part,
-                progress=lambda d, t: seen.append((d, t)))
-    assert seen[0] == (1, grid.node_count - 7)
-    assert seen[-1] == (grid.node_count - 7, grid.node_count - 7)
+
+
+def test_node_limit_must_not_be_negative():
+    grid = cosserat_grid()
+    with pytest.raises(ValueError, match="node_limit"):
+        build_table(W_QUAD, grid, "cosserat", TEMPLATE, node_limit=-1)
+    empty = build_table(W_QUAD, grid, "cosserat", TEMPLATE, node_limit=0)
+    assert empty.pending == grid.node_count
 
 
 def test_resume_rejects_mismatched_provenance():

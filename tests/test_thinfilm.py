@@ -179,7 +179,7 @@ def test_scaled_energy_rejects_wrong_field():
 
 def test_minimize_film_quadratic_stays_affine():
     problem = quad_problem()
-    value, field, bbar = minimize_thin_film(problem, 0.5)
+    value, field, bbar, _ = minimize_thin_film(problem, 0.5)
     want = 2.0 * problem.omega.area * float(np.sum(FBAR**2))
     assert rel_err(value, want) < 1e-8
     assert np.abs(bbar).max() < 1e-6
@@ -303,14 +303,14 @@ def test_convergence_study_to_csv(tmp_path):
 
 def test_convergence_study_keeps_error_rows(tmp_path, monkeypatch):
     problem = quad_problem()
-    real = thinfilm._minimize_film
+    real = thinfilm.minimize_thin_film
 
     def flaky(prob, eps):
         if eps == 0.5:
             raise RuntimeError("boom")
         return real(prob, eps)
 
-    monkeypatch.setattr(thinfilm, "_minimize_film", flaky)
+    monkeypatch.setattr(thinfilm, "minimize_thin_film", flaky)
     study = convergence_study(problem)
     assert not study.ok
     assert "error" not in study.rows[0]
@@ -614,14 +614,14 @@ def test_loaded_film_takes_one_newton_step(monkeypatch):
     loads = LoadSystem(f=[0.1, 0.0, -0.2], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
     problem = ThinFilmProblem(W=W_LAM, omega=SheetMesh(3, 2), fbar_bc=FBAR,
                               loads=loads, epsilons=(0.25,), n3=4)
-    value, field, _, info = thinfilm._minimize_film(problem, 0.25)
+    value, field, _, info = minimize_thin_film(problem, 0.25)
     assert (info["status"], info["iterations"], info["evals"]) == ("ok", 2, 2)
     real = thinfilm.multistart_minimize
 
     def lbfgs(fun, starts, config, newton=None, value=None):
         return real(fun, starts, SolverConfig(grad_tol=1e-10))
     monkeypatch.setattr(thinfilm, "multistart_minimize", lbfgs)
-    ref_value, ref_field, _, _ = thinfilm._minimize_film(problem, 0.25)
+    ref_value, ref_field, _, _ = minimize_thin_film(problem, 0.25)
     assert abs(value - ref_value) <= 1e-10 * (1.0 + abs(ref_value))
     assert np.abs(field.values - ref_field.values).max() <= 1e-9
 
