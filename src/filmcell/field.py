@@ -36,6 +36,7 @@ weighted stress.  The same builder gives the 2D operators of the sheet.
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 from collections import OrderedDict
@@ -601,6 +602,14 @@ class EnergyContext:
             rhs[:g.size] = g
             return lu.solve(rhs)[:g.size]
         return solve
+
+    def rescaled(self, transverse_scale) -> EnergyContext:
+        """This context at another transverse scale, sharing every other array."""
+        ctx = copy.copy(self)
+        ctx.__dict__.pop("newton", None)
+        ctx.transverse_scale = float(transverse_scale)
+        ctx._column_scale = np.array([1.0, 1.0, ctx.transverse_scale])
+        return ctx
 
     def _gradients(self, values):
         """Operator used and G at every quadrature point for an argument."""

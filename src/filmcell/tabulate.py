@@ -313,13 +313,14 @@ def _interp_core(table: DensityTable, x_alpha, fbar, z):
     flat = ix * x_stride
     weights = []
     for k, (axis, q) in enumerate(zip(axes, coords)):
+        # Both bounds tests are written so that a NaN query fails them.
         if len(axis) == 1:
-            if abs(q - axis[0]) > _MATCH_TOL:
+            if not abs(q - axis[0]) <= _MATCH_TOL:
                 raise ExtrapolationError(
                     f"axis {k} is frozen at {axis[0]}, queried at {q}")
             continue
         lo, hi, h, count, tol, stride = axis
-        if q < lo - tol or q > hi + tol:
+        if not lo - tol <= q <= hi + tol:
             raise ExtrapolationError(f"axis {k}: query {q} outside [{lo}, {hi}]")
         t = (q - lo) / h
         # Snap to a node when within rounding distance: queries that sit on

@@ -27,6 +27,13 @@ The sheet omega is the in-plane case of the film's slab mesh; both
 meshes, the affine datum and the pinned parametrization live in
 ``field``, so the film and its limit share one clamp.
 
+A problem assembles what does not depend on eps once and keeps it: the
+film mesh, the clamp datum with its pinned values and affine start, the
+body-force work, the face loads at the quadrature points, and an energy
+context holding the modulation values and the datum gradient.  Each
+thickness then adds its face loads g + g0/eps, derives the context at
+transverse scale 1/eps and runs its descent.
+
 Density values reach the 2D assembly through a small source interface
 (value plus derivatives w.r.t. the membrane block and the transverse
 vector).  Cost model of the limit descent: one evaluation of J at a new
@@ -154,49 +161,66 @@ class ThinFilmProblem:
             return self.cell_template
         return CellProblemSpec(fbar=np.zeros((3, 2)), inner=self.inner)
 
+    def _assembly(self) -> _FilmAssembly:
+        """The thickness-independent film data, assembled on first use.
+
+        Rebuilt when W, omega, n3, fbar_bc or the loads are reassigned, or
+        when fbar_bc or a constant load is edited in place.
+        """
+        loads = self.loads
+        refs = (self.W, self.omega, loads, loads.f, *loads.g, *loads.g0)
+        # The held refs stay alive, so their ids cannot be reused.
+        key = (tuple(map(id, refs)), self.n3, np.asarray(self.fbar_bc, dtype=float).tobytes(),
+               *(np.asarray(e, dtype=float).tobytes() for e in refs[3:]
+                 if e is not None and not callable(e)))
+        if self.__dict__.get("_held", (None, None))[1] != key:
+            self._held = (refs, key, _FilmAssembly(self, self.film_mesh()))
+        return self._held[2]
+
 
 def _nodal_work(mesh, density):
     """Nodal vector l with l . u = sum of density . u over the quadrature points.
 
     ``density`` is already weighted, shape mesh.counts + (nq, 3).
     """
-    V = value_operator(mesh).B
-    return (V.T @ density.ravel()).reshape(mesh.node_shape + (3,))
+    return (value_operator(mesh).Bt @ density.ravel()).reshape(mesh.node_shape + (3,))
 
 
-def _load_vector(problem: ThinFilmProblem, eps: float, mesh: CellMesh):
-    """Nodal vector l with total load work l . u (zero where no loads)."""
-    ell = np.zeros(mesh.node_shape + (3,))
-    loads = problem.loads
-    if loads.is_zero():
+class _FilmAssembly:
+    """The data of a film problem on one mesh that every thickness shares."""
+
+    def __init__(self, problem: ThinFilmProblem, mesh: CellMesh):
+        self.mesh = mesh
+        self.datum = problem.boundary_datum(mesh)
+        self.pinned = pinned_values(mesh, self.datum)
+        self.start = pack(self.datum, mesh)
+        self.start.setflags(write=False)
+        self.context = EnergyContext(problem.W, mesh, x_mode="full", datum=self.datum)
+        loads = problem.loads
+        self.body_work = np.zeros(mesh.node_shape + (3,))
+        if loads.f is not None:
+            fq = loads.f_at(*mesh.quad_coords())
+            self.body_work += _nodal_work(mesh, fq * mesh.quad_weights()[..., None])
+        self.sheet = mesh.sheet()
+        loads.check_compatibility(self.sheet)
+        q1, q2 = self.sheet.quad_coords()
+        self.faces = [(klayer, loads.g_at(side, q1, q2), loads.g0_at(side, q1, q2))
+                      for side, klayer in ((+1, -1), (-1, 0))]
+
+    def load_vector(self, eps):
+        """Nodal vector l with total load work l . u at thickness eps."""
+        ell = self.body_work.copy()
+        w2 = self.sheet.quad_weights()[..., None]
+        for klayer, g, g0 in self.faces:
+            surf = g + g0 / eps
+            if np.any(surf):
+                ell[:, :, klayer, :] += _nodal_work(self.sheet, surf * w2)
         return ell
-    if loads.f is not None:
-        fq = loads.f_at(*mesh.quad_coords())
-        ell += _nodal_work(mesh, fq * mesh.quad_weights()[..., None])
-    sheet = mesh.sheet()
-    q1, q2 = sheet.quad_coords()
-    w2 = sheet.quad_weights()
-    for side, klayer in ((+1, -1), (-1, 0)):
-        surf = loads.g_at(side, q1, q2) + loads.g0_at(side, q1, q2) / eps
-        if not np.any(surf):
-            continue
-        ell[:, :, klayer, :] += _nodal_work(sheet, surf * w2[..., None])
-    return ell
 
 
 def _load_split(ell, mesh, datum):
     """Load work l . u split as (free-dof vector, constant from the pinned datum)."""
     return pack(ell, mesh), float(np.sum(ell * pinned_values(mesh, datum)))
-
-
-def _check_film_field(problem, u: DiscreteField):
-    if u.mesh.boundary_mode != LATERAL_AFFINE:
-        raise ValueError("thin-film fields use the lateral-affine boundary mode")
-    datum = problem.boundary_datum(u.mesh)
-    tol = 1e-9 * (1.0 + float(np.abs(datum).max()))
-    mism = float(np.abs(unpack(pack(u.values, u.mesh), u.mesh, datum) - u.values).max())
-    if mism > tol:
-        raise ValueError(f"lateral boundary deviates from the affine datum by {mism}")
 
 
 def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> float:
@@ -207,11 +231,17 @@ def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> flo
     surface loads act on the top and bottom faces, the order-1 pair
     entering as the bending-moment term via the transverse jump.
     """
-    _check_film_field(problem, u)
-    ctx = EnergyContext(problem.W, u.mesh, transverse_scale=1.0 / eps,
-                        prefactor=1.0, x_mode="full")
-    ell = _load_vector(problem, eps, u.mesh)
-    return ctx.value(u.values) - float(np.sum(ell * u.values))
+    if u.mesh.boundary_mode != LATERAL_AFFINE:
+        raise ValueError("thin-film fields use the lateral-affine boundary mode")
+    film = problem._assembly()
+    if u.mesh != film.mesh:
+        film = _FilmAssembly(problem, u.mesh)
+    tol = 1e-9 * (1.0 + float(np.abs(film.datum).max()))
+    mism = float(np.abs(unpack(pack(u.values, u.mesh), u.mesh, film.datum) - u.values).max())
+    if mism > tol:
+        raise ValueError(f"lateral boundary deviates from the affine datum by {mism}")
+    ell = film.load_vector(eps)
+    return film.context.rescaled(1.0 / eps).value(u.values) - float(np.sum(ell * u.values))
 
 
 def minimize_thin_film(problem: ThinFilmProblem, eps: float):
@@ -224,11 +254,10 @@ def minimize_thin_film(problem: ThinFilmProblem, eps: float):
     """
     if not any(abs(eps - e) <= 1e-15 for e in problem.epsilons):
         raise ValueError(f"thickness eps={eps} is not in the problem's thickness list")
-    mesh = problem.film_mesh()
-    datum = problem.boundary_datum(mesh)
-    ctx = EnergyContext(problem.W, mesh, transverse_scale=1.0 / eps,
-                        prefactor=1.0, x_mode="full", datum=datum)
-    ell_free, ell_pinned = _load_split(_load_vector(problem, eps, mesh), mesh, datum)
+    film = problem._assembly()
+    ctx = film.context.rescaled(1.0 / eps)
+    ell = film.load_vector(eps)
+    ell_free, ell_pinned = pack(ell, film.mesh), float(np.sum(ell * film.pinned))
 
     def fun(vec):
         val, grad = ctx.value_and_grad(vec)
@@ -237,17 +266,17 @@ def minimize_thin_film(problem: ThinFilmProblem, eps: float):
     def value(vec):
         return ctx.value(vec) - float(ell_free @ vec) - ell_pinned
 
-    starts = [("affine", pack(datum, mesh))]
+    base = film.start
+    starts = [("affine", base)]
     if not problem.W.is_convex:
         rng = np.random.default_rng(
             np.random.SeedSequence([problem.inner.seed, 11]))
         scale = problem.inner.perturb_scale * (1.0 + float(np.linalg.norm(problem.fbar_bc)))
-        base = pack(datum, mesh)
         for r in range(max(problem.inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
     best, info = multistart_minimize(fun, starts, problem.inner.solver(),
                                      newton=ctx.newton, value=value)
-    field = DiscreteField(mesh, unpack(best.x, mesh, datum))
+    field = DiscreteField(film.mesh, unpack(best.x, film.mesh, film.datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
     return best.value, field, bbar, info
 

@@ -423,6 +423,21 @@ def test_newton_step_solves_quadratic_families(family, mode, constrained):
     assert np.abs(got - ctx.operator.project(ref.x)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("mode,constrained", NEWTON_RULES)
+def test_rescaled_context_matches_a_fresh_one_bitwise(mode, constrained):
+    W = NEWTON_FAMILIES["checkerboard"]
+    _, fresh, _, x = _newton_problem(W, mode, constrained, np.random.default_rng(23))
+    _, other, _, _ = _newton_problem(W, mode, constrained, np.random.default_rng(23))
+    moved = other.rescaled(1.0)
+    moved.newton(x)             # a factor at scale 1, which the next rescale drops
+    back = moved.rescaled(2.5)
+
+    def outputs(ctx):
+        val, grad = ctx.value_and_grad(x)
+        return np.float64(val).tobytes(), grad.tobytes(), ctx.newton(x).tobytes()
+    assert outputs(back) == outputs(fresh)
+
+
 @pytest.mark.parametrize("W", [pnorm_density(3.0), two_well_density(np.eye(3))])
 def test_non_quadratic_families_get_no_newton_solve(W):
     mesh = CellMesh(2, 2, 2, boundary_mode=LATERAL_PERIODIC)

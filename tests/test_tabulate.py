@@ -349,6 +349,24 @@ def test_query_errors_match_reference():
         assert got == outcome(reference_interp, tab, *args)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis_kind", ["frozen", "range"])
+def test_query_rejects_non_finite_coordinates(bad, axis_kind):
+    rng = np.random.default_rng(6)
+    table = random_table(rng, "cosserat", 3)
+    grid = table.grid
+    mid = np.array([a[1] if a[0] == "frozen" else 0.5 * (a[1] + a[2])
+                    for a in grid.axes])
+    plain = query(table, (0.25, 0.5), *split_query(grid, mid))
+    for k in [k for k, a in enumerate(grid.axes) if a[0] == axis_kind]:
+        coords = mid.copy()
+        coords[k] = bad
+        for fn in (query, interpolate_with_gradient):
+            with pytest.raises(ExtrapolationError, match=f"axis {k}[ :]"):
+                fn(table, (0.25, 0.5), *split_query(grid, coords))
+    assert query(table, (0.25, 0.5), *split_query(grid, mid)) == plain
+
+
 def test_interpolation_gradient_matches_differences():
     table = build_table(W_QUAD, cosserat_grid(count=4), "cosserat", TEMPLATE)
     fbar = np.zeros((3, 2))

@@ -1,10 +1,14 @@
 """Tests for the scaled film problem, its limit functional, and studies."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import filmcell.thinfilm as thinfilm
 from filmcell.cell import CellProblemSpec, InnerConfig, minimize_over_z
+from filmcell.config import build_problem, load_config
 from filmcell.field import (
     PINNED, CellMesh, DiscreteField, LATERAL_ZERO, affine_values, kinematic_operator,
     pack, unpack,
@@ -138,6 +142,11 @@ def test_problem_validation():
     bad = LoadSystem(g0=(np.array([0.0, 0.0, 0.3]), None))
     with pytest.raises(ValueError, match="cancel"):
         quad_problem(loads=bad)
+    problem = quad_problem()
+    minimize_thin_film(problem, 1.0)
+    problem.loads = bad          # a reassigned pair is checked when it is assembled
+    with pytest.raises(ValueError, match="cancel"):
+        minimize_thin_film(problem, 1.0)
 
 
 def test_scaled_energy_of_affine_map():
@@ -648,3 +657,76 @@ def test_film_value_closure_is_bitwise(monkeypatch):
     (fun, value, starts), = seen
     for x in starts + [x + 0.1 * rng.normal(size=x.shape) for x in starts]:
         assert np.float64(value(x)).tobytes() == np.float64(fun(x)[0]).tobytes()
+
+
+def loadpath_problem():
+    config = Path(__file__).resolve().parents[1] / "configs" / "gamma_loadpath.yaml"
+    return build_problem(load_config(config))
+
+
+def laminate_problem():
+    loads = LoadSystem(f=[0.1, 0.0, -0.2], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+    return ThinFilmProblem(W=W_LAM, omega=SheetMesh(3, 2), fbar_bc=FBAR, loads=loads,
+                           epsilons=(1.0, 0.5, 0.25), n3=4)
+
+
+def two_well_problem():
+    W = two_well_density(np.diag([0.4, 0.0, 0.0]))
+    loads = LoadSystem(g=([0.0, 0.0, 0.1], None))
+    return ThinFilmProblem(W=W, omega=SheetMesh(2, 2), fbar_bc=0.5 * FBAR, loads=loads,
+                           epsilons=(1.0, 0.5), n3=2)
+
+
+def solve_bytes(problem, eps):
+    value, field, bbar, info = minimize_thin_film(problem, eps)
+    return np.float64(value).tobytes(), field.values.tobytes(), bbar.tobytes(), repr(info)
+
+
+def without_seconds(row):
+    return repr({k: v for k, v in row.items() if k != "seconds"})
+
+
+@pytest.mark.parametrize("make", [loadpath_problem, laminate_problem, two_well_problem])
+def test_rows_equal_standalone_solves_bitwise(make):
+    # A problem keeps its thickness-independent data across solves; each
+    # thickness, in either order, must give what a fresh problem gives.
+    epsilons = make().epsilons
+    fresh = {eps: solve_bytes(make(), eps) for eps in epsilons}
+    for order in (epsilons, epsilons[::-1]):
+        shared = make()
+        for eps in order:
+            assert solve_bytes(shared, eps) == fresh[eps]
+    study = convergence_study(make(), source=_SmoothSource())
+    for eps, row in zip(epsilons, study.rows):
+        alone = thinfilm._study_row(make(), eps, study.limit_energy)
+        assert without_seconds(row) == without_seconds(alone)
+
+
+def test_stored_film_data_follows_reassigned_fields():
+    loads = LoadSystem(f=[0.1, 0.0, -0.2], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+    new_loads = LoadSystem(f=[-0.3, 0.2, 0.0], g=([0.0, 0.1, 0.0], None))
+
+    def energies(problem):
+        mesh = problem.film_mesh()
+        u = DiscreteField(mesh, problem.boundary_datum(mesh))
+        return [(minimize_thin_film(problem, eps)[0], scaled_energy(problem, eps, u))
+                for eps in problem.epsilons]
+
+    def fresh(problem):
+        return ThinFilmProblem(W=problem.W, omega=problem.omega,
+                               fbar_bc=np.array(problem.fbar_bc), loads=problem.loads,
+                               epsilons=problem.epsilons, n3=problem.n3)
+
+    problem = quad_problem(loads=loads)
+    energies(problem)
+    assert energies(replace(problem, loads=new_loads)) == energies(fresh(
+        replace(problem, loads=new_loads)))
+    for name, value in (("loads", new_loads), ("fbar_bc", FBAR + 0.1), ("W", W_LAM),
+                        ("n3", 4), ("omega", SheetMesh(3, 2))):
+        before = energies(problem)
+        setattr(problem, name, value)
+        assert energies(problem) == energies(fresh(problem)) != before, name
+    problem.fbar_bc[0, 0] += 0.1
+    assert energies(problem) == energies(fresh(problem))
+    problem.loads.f[0] = 0.5
+    assert energies(problem) == energies(fresh(problem))
