@@ -22,7 +22,11 @@ independent cross-check.
 
 The L-infimum is scanned on a log grid and polished by golden-section
 refinement; inner minimizations share the descent contract from
-:mod:`filmcell.solvers` and are warm-started along the L grid.  A
+:mod:`filmcell.solvers` and are warm-started along the L grid.  For
+convex W the laterally periodic minimizer depends on x3 only, so those
+scans hand each L the previous field scaled by L'/L, which is exact
+(see ``_l_scan``); the clamped form, non-convex families and warm
+starts given by the caller chain unscaled.  A
 minimum attained strictly at a grid boundary raises the
 ``l-search-boundary`` warning in the diagnostics.  For a quadratic W
 (p-norm with p = 2, anisotropic quadratic, under any modulation) the
@@ -268,23 +272,41 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
     return best.value, full, diag
 
 
-def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None):
+def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None, rescale=None):
     """Scan the L grid, polish with golden section, report the profile.
 
     ``solve_at(L, warm_values)`` returns (value, values, diag) and is
-    chained: each grid point warm-starts from its predecessor.  Flat
-    profiles resolve to the grid point closest to L = 1; a strict minimum
-    at a window edge is flagged ``l-search-boundary``.
+    chained: each grid point warm-starts from its predecessor, and each
+    golden-section point from the best field found so far.  With
+    ``rescale(values, ratio)`` that warm field, found at L', is handed
+    over as ``rescale(values, L' / L)``: callers pass it for convex W in
+    the laterally periodic forms without a warm start of their own.
+    There the minimizer depends on x3 only (its average over lateral
+    translations keeps the constraint and, by Jensen, does not raise
+    the energy), so its D_alpha vanishes and L D_3 of the scaled field
+    is L' D_3 of the old one: the scaled field is the minimizer at L
+    with equal energy, and the linear homogeneous constraint still
+    holds.  A Newton scan thus factors once, and each later L passes
+    its stopping test with one evaluation; an L-BFGS minimizer's
+    gradient grows by L / L' per step (the test is not scale invariant)
+    and is polished where it crosses the tolerance.  Flat profiles
+    resolve to the grid point closest to L = 1; a strict minimum at a
+    window edge is flagged ``l-search-boundary``.
     """
+    def chained(L, vals, l_from):
+        if rescale is None or l_from is None:
+            return vals
+        return rescale(vals, l_from / L)
+
     grid = lcfg.grid()
     profile = []
     results = []
-    warm = warm0
+    warm, l_warm = warm0, None
     for L in grid:
-        v, vals, diag = solve_at(L, warm)
+        v, vals, diag = solve_at(L, chained(L, warm, l_warm))
         profile.append((float(L), float(v)))
         results.append((v, L, vals, diag))
-        warm = vals
+        warm, l_warm = vals, L
     values = np.array([r[0] for r in results])
     vmin = float(values.min())
     noise = L_FLAT_REL * (1.0 + abs(vmin))
@@ -301,17 +323,15 @@ def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None):
     if not flat:
         lo = math.log10(grid[max(i_star - 1, 0)])
         hi = math.log10(grid[min(i_star + 1, len(grid) - 1)])
-        state = {"warm": best[2]}
 
         def polish(logl):
             nonlocal n_golden
             n_golden += 1
             L = 10.0 ** logl
-            v, vals, diag = solve_at(L, state["warm"])
+            v, vals, diag = solve_at(L, chained(L, best[2], best[1]))
             profile.append((float(L), float(v)))
             if v < best[0]:
                 best[0], best[1], best[2], best[3] = v, L, vals, diag
-                state["warm"] = vals
             return v
 
         golden_section(polish, lo, hi, tol=lcfg.golden_tol)
@@ -413,7 +433,9 @@ def _scan(W, spec, mode, z, warm_start):
         return _solve_fixed(W, mesh, spec, spec.fbar, z, L, "frozen",
                             constrained=z is not None, warm_values=warm_values)
 
-    return (mesh,) + _l_scan(solve_at, spec.l_search, warm0)
+    rescaled = W.is_convex and mode == LATERAL_PERIODIC and warm0 is None
+    return (mesh,) + _l_scan(solve_at, spec.l_search, warm0,
+                             np.multiply if rescaled else None)
 
 
 def _lifted_field(mesh, psi, z, l_star, diag):
@@ -574,7 +596,12 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
             prefer=lambda r: float(np.linalg.norm(r.x[nfree:])))
         return best.value, best.x, diag
 
-    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, warm0)
+    rescale = None
+    if W.is_convex and warm0 is None:
+        def rescale(vec, ratio):
+            return np.concatenate([vec[:nfree] * ratio, vec[nfree:]])
+
+    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, warm0, rescale)
     if fiber_skipped:
         diag["warnings"].append("fiber-start-skipped")
     psi = unpack(projector.project(joint[:nfree]), mesh)

@@ -13,7 +13,9 @@ single hash.
 Exit codes: 0 success, 1 failure (bad config, solver error, failed
 check), 2 success with warnings (the thickness-ratio search stopped on
 the boundary of its window, so the reported minimum may be a window
-artifact; or a ``gamma`` limit or film solve ran out of iterations).
+artifact; or the winning inner descent of a cell command, or a
+``gamma`` limit or film solve, ran out of iterations, which also makes
+a ``gamma`` body's ``ok`` false).
 """
 
 from __future__ import annotations
@@ -110,11 +112,17 @@ def _meta(t0, argv):
 
 
 def _solution_body(resolved, W, sol, **extra):
+    """Report body of a cell command; ``not-converged`` joins the warnings
+    when the winning inner descent ran out of iterations."""
+    diag = sol.diagnostics
+    warnings = list(sol.warnings)
+    if diag.get("inner", diag).get("status") == "max_iter":
+        warnings.append(NOT_CONVERGED_WARNING)
     body = {"config": resolved,
             "integrand_hash": W.content_hash(),
             "value": sol.value,
             "l_star": sol.l_star,
-            "warnings": list(sol.warnings),
+            "warnings": warnings,
             "record": sol.to_record()}
     body.update(extra)
     return body
@@ -130,8 +138,9 @@ def _quantities_csv(**quantities):
     return write
 
 
-def _warn_exit(sol):
-    return 2 if BOUNDARY_WARNING in sol.warnings else 0
+def _warn_exit(body):
+    warned = {BOUNDARY_WARNING, NOT_CONVERGED_WARNING} & set(body["warnings"])
+    return 2 if warned else 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +163,7 @@ def cmd_density(config, out_dir=None, export=None, argv=None):
     body = _solution_body(resolved, W, sol, command="density", form=form)
     return _finish("density", body, _meta(t0, argv), out_dir, export,
                    _quantities_csv(value=sol.value, l_star=sol.l_star),
-                   _warn_exit(sol))
+                   _warn_exit(body))
 
 
 def cmd_cosserat(config, out_dir=None, export=None, argv=None):
@@ -168,7 +177,7 @@ def cmd_cosserat(config, out_dir=None, export=None, argv=None):
                           z=resolved["cell"]["z"])
     return _finish("cosserat", body, _meta(t0, argv), out_dir, export,
                    _quantities_csv(value=sol.value, l_star=sol.l_star),
-                   _warn_exit(sol))
+                   _warn_exit(body))
 
 
 def cmd_qcx(config, out_dir=None, export=None, argv=None):
@@ -185,7 +194,7 @@ def cmd_qcx(config, out_dir=None, export=None, argv=None):
                           raw_value=raw, relaxation_gap=raw - sol.value)
     return _finish("qcx", body, _meta(t0, argv), out_dir, export,
                    _quantities_csv(value=sol.value, raw_value=raw),
-                   _warn_exit(sol))
+                   _warn_exit(body))
 
 
 def cmd_gamma(config, out_dir=None, export=None, argv=None):
@@ -215,7 +224,7 @@ def cmd_gamma(config, out_dir=None, export=None, argv=None):
     body = {"command": "gamma", "config": resolved,
             "integrand_hash": problem.W.content_hash(),
             "source": src_kind, "study": study.to_record(),
-            "gaps": study.gaps, "ok": study.ok,
+            "gaps": study.gaps, "ok": study.ok and study.converged,
             "warnings": [] if study.converged else [NOT_CONVERGED_WARNING]}
     code = 1 if not study.ok else 0 if study.converged else 2
     return _finish("gamma", body, _meta(t0, argv), out_dir, export,

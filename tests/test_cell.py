@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import weakref
 from dataclasses import replace
 
@@ -464,3 +465,166 @@ def test_surrogate_keys_match_the_per_point_rounding():
     total = sur.integral(vals, mesh, spec, spec.fbar, spec.z, 1.0)
     assert sur.hits + sur.misses == mesh.quad_weights().size
     assert sur.misses == len(sur.cache) and np.isfinite(total)
+
+
+# -- warm starts rescaled along the L grid -------------------------------------
+
+MESH324 = CellMesh(3, 2, 4)
+GRID = LSearchConfig().grid_count
+LAM3 = pnorm_density(3.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
+COUPLING = np.eye(9)
+COUPLING[0, 2] = COUPLING[2, 0] = 0.4      # couples F_11 with F_13
+COUPLED_LAM = aniso_quadratic_density(
+    cmat=COUPLING, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
+RESCALED_FAMILIES = {
+    "p2": W2,
+    "p3": pnorm_density(3.0),
+    "aniso": aniso_quadratic_density(entry_weights=np.arange(1.0, 10.0).reshape(3, 3) / 3),
+    "laminate": LAM,
+    "checkerboard": pnorm_density(2.0, modulation=PlanarCheckerboard((1.0, 2.0), 0.5)),
+    "p3-laminate": LAM3,
+    "coupled-laminate": COUPLED_LAM,
+}
+# L-BFGS descents (a non-quadratic W, or the joint descent over z) whose
+# minimizer is not the zero field.
+LBFGS_PROFILES = {("p3-laminate", "cosserat"), ("coupled-laminate", "minimize_over_z")}
+RESCALED_FORMS = {
+    "periodic": membrane_density_periodic,
+    "cosserat": cosserat_density,
+    "minimize_over_z": lambda W, spec: minimize_over_z(W, spec)[0],
+}
+
+
+def _recorded_scan(monkeypatch, op, W, spec, rescaled=True):
+    """Run ``op``; return its solution and the per-start summaries of each L."""
+    calls = []
+    real = cell_mod.multistart_minimize
+
+    def spy(*args, **kwargs):
+        best, diag = real(*args, **kwargs)
+        calls.append(diag["starts"])
+        return best, diag
+    with monkeypatch.context() as m:
+        m.setattr(cell_mod, "multistart_minimize", spy)
+        if not rescaled:
+            real_scan = cell_mod._l_scan
+            m.setattr(cell_mod, "_l_scan", lambda solve_at, lcfg, warm0=None,
+                      rescale=None: real_scan(solve_at, lcfg, warm0))
+        sol = op(W, spec)
+    return sol, calls
+
+
+def _warm_evals(calls):
+    """Energy evaluations of the warm start at every L after the first."""
+    out = []
+    for starts in calls[1:]:
+        evals = [s["n_evals"] for s in starts if s["start"] == "warm"]
+        assert len(evals) == 1
+        out += evals
+    return out
+
+
+@pytest.mark.parametrize("form", sorted(RESCALED_FORMS))
+@pytest.mark.parametrize("name", sorted(RESCALED_FAMILIES))
+def test_rescaled_scan_matches_unscaled_chaining(monkeypatch, name, form):
+    W, op = RESCALED_FAMILIES[name], RESCALED_FORMS[form]
+    spec = spec_at(FB, [0.1, -0.2, 0.3], mesh=MESH324,
+                   x0=MaterialPoint((0.3, 0.6), 0.0))
+    sol, calls = _recorded_scan(monkeypatch, op, W, spec)
+    ref, ref_calls = _recorded_scan(monkeypatch, op, W, spec, rescaled=False)
+    assert rel_err(sol.value, ref.value) <= 1e-12
+    assert sol.l_star == ref.l_star
+    assert len(calls) == len(ref_calls) == GRID
+    evals = _warm_evals(calls)
+    if (name, form) in LBFGS_PROFILES:
+        # The stopping test is not scale invariant: the warm field's
+        # gradient grows by L/L' per grid step, and an L where it crosses
+        # the tolerance takes a few more L-BFGS iterations.
+        assert sum(evals) < sum(_warm_evals(ref_calls))
+        assert evals.count(1) >= len(evals) // 2
+    else:
+        assert evals == [1] * (len(calls) - 1)
+    if W.moduli is not None and form != "minimize_over_z":
+        # quadratic families run the warm start alone
+        assert [sum(s["n_evals"] for s in starts) for starts in calls[1:]] == evals
+
+
+def test_cold_laminate_cosserat_scan_factors_once(monkeypatch):
+    factored = []
+    splu = field_mod.splu
+    monkeypatch.setattr(field_mod, "splu", lambda A: factored.append(A) or splu(A))
+    spec = spec_at(FB, [0.1, -0.2, 0.3], mesh=MESH324)
+    field_mod._FACTORS.clear()
+    sol = cosserat_density(LAM, spec)
+    assert len(factored) == 1
+    field_mod._FACTORS.clear()
+    _recorded_scan(monkeypatch, cosserat_density, LAM, spec, rescaled=False)
+    assert len(factored) == 1 + GRID
+    assert rel_err(sol.value, laminate_cosserat(FB, np.array([0.1, -0.2, 0.3]))) < 1e-12
+
+
+def _recorded_fixed_solves(monkeypatch, run):
+    """(L, warm values, returned values) of every fixed-L solve in ``run()``."""
+    solves = []
+    real = cell_mod._solve_fixed
+
+    def spy(W, mesh, spec, fbar, z, scale, *args, warm_values=None, **kwargs):
+        out = real(W, mesh, spec, fbar, z, scale, *args, warm_values=warm_values,
+                   **kwargs)
+        solves.append((scale, warm_values, out[1]))
+        return out
+    with monkeypatch.context() as m:
+        m.setattr(cell_mod, "_solve_fixed", spy)
+        run()
+    return solves
+
+
+def _assert_chained(solves, rescaled):
+    """Each grid point after the first starts from its predecessor's field."""
+    for (l_prev, _, prev), (L, warm, _) in zip(solves, solves[1:]):
+        want = prev * (l_prev / L) if rescaled else prev
+        assert warm.tobytes() == want.tobytes()
+
+
+def test_only_convex_periodic_scans_rescale_their_warm_fields(monkeypatch):
+    spec = spec_at(FB, [0.1, -0.2, 0.3], mesh=MESH324)
+    solves = _recorded_fixed_solves(monkeypatch, lambda: cosserat_density(LAM, spec))
+    assert solves[0][1] is None and len(solves) == GRID
+    _assert_chained(solves, rescaled=True)
+    # the clamped form has lateral boundary layers
+    solves = _recorded_fixed_solves(monkeypatch,
+                                    lambda: membrane_density(COUPLED_LAM, spec))
+    assert np.abs(solves[GRID - 1][2]).max() > 0
+    _assert_chained(solves[:GRID], rescaled=False)
+    # a non-convex family, whose minimizer here is a laminate
+    narrow = spec_at(np.zeros((3, 2)), l_search=LSearchConfig(0.5, 2.0, 3))
+    W = two_well_density(np.diag([0.7, 0.0, 0.0]))
+    solves = _recorded_fixed_solves(monkeypatch,
+                                    lambda: membrane_density_periodic(W, narrow))
+    assert np.abs(solves[0][2]).max() > 0
+    _assert_chained(solves[:3], rescaled=False)
+    # a caller's warm start keeps the unscaled chain
+    warm = cosserat_density(LAM, spec).field
+    solves = _recorded_fixed_solves(
+        monkeypatch, lambda: cosserat_density(LAM, spec, warm_start=warm))
+    assert solves[0][1] is warm.values
+    _assert_chained(solves[:GRID], rescaled=False)
+
+
+def test_golden_points_start_from_the_rescaled_best_field():
+    # a synthetic non-flat profile with its minimum at L = 1
+    seen = []
+
+    def solve_at(L, warm):
+        seen.append((L, warm))
+        return math.log10(L) ** 2, np.full(3, L), {}
+    lcfg = LSearchConfig(0.1, 10.0, 5)
+    _, l_star, _, diag = cell_mod._l_scan(solve_at, lcfg, rescale=np.multiply)
+    assert diag["l_golden_evals"] > 0 and l_star == 1.0
+    grid = lcfg.grid()
+    assert seen[0][1] is None
+    for (L, warm), prev in zip(seen[1:5], grid):
+        assert np.array_equal(warm, np.full(3, prev) * (prev / L))
+    for L, warm in seen[5:]:
+        # the best field stays the grid point at L = 1
+        assert np.array_equal(warm, np.full(3, 1.0) * (1.0 / L))

@@ -199,6 +199,49 @@ def test_cmd_density_boundary_warning_exit_code():
     assert "l-search-boundary" in report["body"]["warnings"]
 
 
+P3_LAMINATE = {"family": "pnorm", "params": {"p": 3.0},
+               "modulation": {"kind": "laminate_x3", "levels": [1.0, 3.0],
+                              "breaks": [0.0]}}
+
+
+@pytest.mark.parametrize("max_iter,code,warnings", [
+    (1, 2, ["l-search-boundary", "not-converged"]), (500, 0, [])])
+def test_cosserat_exit_code_flags_an_unconverged_inner_descent(
+        tmp_path, max_iter, code, warnings):
+    cfg = {"integrand": P3_LAMINATE,
+           "cell": {"fbar": [[0.5, 0.0], [0.0, -0.3], [0.0, 0.2]],
+                    "z": [0.1, 0.0, 0.4], "mesh": {"n1": 2, "n2": 2, "n3": 2},
+                    "inner": {"max_iter": max_iter}}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["cosserat", "--config", str(path), "--out", str(tmp_path)]) == code
+    body = json.loads((tmp_path / "cosserat.json").read_text())["body"]
+    assert body["warnings"] == warnings
+    assert (body["record"]["diagnostics"]["inner"]["status"] == "max_iter") == (code == 2)
+
+
+@pytest.mark.parametrize("command,solver", [
+    ("density", "membrane_density"), ("qcx", "quasiconvexify")])
+def test_density_and_qcx_exit_2_on_an_unconverged_winner(
+        tmp_path, monkeypatch, command, solver):
+    # Their convex cells are solved exactly by the first evaluation, so
+    # the winner's status is set to the one a capped descent reports.
+    real = getattr(cli, solver)
+
+    def capped(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        diag = sol.diagnostics
+        diag.get("inner", diag)["status"] = "max_iter"
+        return sol
+    monkeypatch.setattr(cli, solver, capped)
+    cfg = {"integrand": P3_LAMINATE, "cell": {"mesh": {"n1": 2, "n2": 2, "n3": 2}}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    body = json.loads((tmp_path / f"{command}.json").read_text())["body"]
+    assert body["warnings"] == ["not-converged"]
+
+
 def test_cmd_cosserat_adds_transverse_term():
     cfg = quad_config(z=[0.0, 0.0, 0.5])
     code, report = cmd_cosserat(cfg)
@@ -283,7 +326,7 @@ def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
     code, report = cmd_gamma(LOADED_GAMMA)
     body = report["body"]
     assert body["study"]["limit_info"]["status"] == "max_iter"
-    assert body["ok"] is True
+    assert body["ok"] is False
     assert "not-converged" in body["warnings"]
     assert code == 2
 
@@ -329,10 +372,10 @@ def test_cmd_tabulate_then_gamma_table_source(tmp_path):
     }
     code, report = cmd_gamma(gamma_cfg)
     # The multilinear table density has kinks at which the limit gradient
-    # cannot vanish, so the limit descent runs to max_iter: the study
-    # stays ok, but the report flags it and the exit code is 2.
+    # cannot vanish, so the limit descent runs to max_iter: the body is
+    # not ok and flags it, and the exit code is 2 (1 is for error rows).
     assert report["body"]["study"]["limit_info"]["status"] == "max_iter"
-    assert report["body"]["ok"] is True
+    assert report["body"]["ok"] is False
     assert "not-converged" in report["body"]["warnings"]
     assert code == 2
     assert report["body"]["source"] == "table"

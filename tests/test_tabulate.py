@@ -9,6 +9,7 @@ from filmcell.cell import CellProblemSpec, membrane_density
 from filmcell.field import CellMesh
 from filmcell.integrand import (GrowthSpec, MaterialPoint, density_from_config,
                                 pnorm_density)
+import filmcell.tabulate as tabulate_mod
 from filmcell.tabulate import (
     INVALID,
     PENDING,
@@ -147,6 +148,16 @@ def test_resume_rejects_mismatched_provenance():
     with pytest.raises(ValueError, match="grid"):
         build_table(W_QUAD, cosserat_grid(count=4), "cosserat", TEMPLATE,
                     resume=part)
+
+
+def test_resume_rejects_a_table_of_an_older_solver_version():
+    grid = cosserat_grid()
+    part = build_table(W_QUAD, grid, "cosserat", TEMPLATE, node_limit=2)
+    assert part.provenance["solver_version"] == tabulate_mod.SOLVER_VERSION == 3
+    old = DensityTable(part.grid, part.kind, part.values, part.mask,
+                       dict(part.provenance, solver_version=2))
+    with pytest.raises(ValueError, match="provenance"):
+        build_table(W_QUAD, grid, "cosserat", TEMPLATE, resume=old)
 
 
 def test_query_interpolates_between_nodes():
