@@ -33,7 +33,7 @@ from .field import (
 from .cell import (
     LSearchConfig, InnerConfig, CellProblemSpec, CellSolution,
     membrane_density, membrane_density_periodic, cosserat_density,
-    minimize_over_z, quasiconvexify, lamination_upper_bound,
+    minimize_over_z, quasiconvexify,
 )
 from .thinfilm import (
     LoadSystem, ThinFilmProblem, ConvergenceReport,

@@ -10,15 +10,15 @@ Q' x (-1, 1), all at a frozen in-plane material point x0:
 
 * membrane density (periodic form): the same infimum over laterally
   periodic perturbations with the quasiconvexified integrand, which for
-  convex families coincides with W,
+  convex families coincides with W and for the two-well family is its
+  closed-form envelope (see ``_relaxed_value``),
 
 * Cosserat density: laterally periodic perturbations whose transverse
   average (L/2) Int D_3 phi dx3-slice mean is pinned to a vector z.
 
-On top of these sit the 3D quasiconvexification on the unit cube, the
-minimization over the transverse vector producing the optimal Cosserat
-vector b0, and a first-order lamination upper bound used as an
-independent cross-check.
+On top of these sit the 3D quasiconvexification on the unit cube and
+the minimization over the transverse vector producing the optimal
+Cosserat vector b0.
 
 The L-infimum is scanned on a log grid and polished by golden-section
 refinement; inner minimizations share the descent contract from
@@ -67,13 +67,10 @@ __all__ = [
     "LSearchConfig", "InnerConfig", "CellProblemSpec", "CellSolution",
     "CellSolveError", "membrane_density", "membrane_density_periodic",
     "cosserat_density", "minimize_over_z", "quasiconvexify",
-    "lamination_upper_bound", "QuasiconvexSurrogate", "refinement_ladder",
+    "refinement_ladder",
 ]
 
 L_FLAT_REL = 1e-9          # L-profile variation treated as flat
-SURROGATE_SUBMESH = 4      # cells per axis of the quasiconvexification sub-mesh
-SURROGATE_QUANT = 1e-3     # lattice spacing of quantized surrogate arguments
-LAMINATION_GRID = 33       # offsets t scanned per rank-one direction
 
 
 class CellSolveError(RuntimeError):
@@ -342,86 +339,26 @@ def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None, rescale=None):
     return float(value), float(l_star), vals, scan_diag
 
 
-# ---------------------------------------------------------------------------
-# Quasiconvexification surrogate (nonconvex integrands in periodic forms)
-# ---------------------------------------------------------------------------
-
-class QuasiconvexSurrogate:
-    """Pointwise quasiconvexification estimates on a small sub-mesh.
-
-    Re-integrating a found minimizer through the relaxed integrand is the
-    honest way to report periodic-form values for nonconvex W; this
-    surrogate makes it affordable by quantizing the gradient argument to
-    a fixed lattice, solving the unit-cube problem on a coarse sub-mesh
-    and caching.  The cache key drops x3 only for a spatially constant
-    modulation (equal ``bounds()``).  Results are deterministic because
-    the solve is.
-    """
-
-    def __init__(self, W, spec: CellProblemSpec):
-        self.W = W
-        self.spec = spec
-        n = SURROGATE_SUBMESH
-        self.mesh = CellMesh(n, n, n, boundary_mode=FULLY_PERIODIC)
-        self.quant = SURROGATE_QUANT
-        b = W.modulation.bounds()
-        self.x3_free = b is not None and b[0] == b[1]
-        self.cache: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _quantize(self, G):
-        """Lattice points of gradients (n, 3, 3) and their cache keys, in one pass."""
-        Fq = np.round(G / self.quant) * self.quant
-        return Fq, [tuple(row) for row in np.round(Fq, 9).reshape(-1, 9).tolist()]
-
-    def _lookup(self, x3, Fq, fkey) -> float:
-        key = (0.0 if self.x3_free else round(float(x3), 9), fkey)
-        if key in self.cache:
-            self.hits += 1
-            return self.cache[key]
-        self.misses += 1
-        x0 = MaterialPoint(self.spec.x0.x_alpha, float(x3))
-        sub = replace(self.spec, mesh=self.mesh, z=None, x0=x0)
-        sol = quasiconvexify(self.W, Fq, sub)
-        self.cache[key] = sol.value
-        return sol.value
-
-    def integral(self, values_full, mesh, spec, fbar, z, scale) -> float:
-        """Surrogate counterpart of the cell energy at a given field."""
-        ctx = EnergyContext(self.W, mesh, transverse_scale=scale, prefactor=0.5,
-                            x_mode="frozen", x0=spec.x0,
-                            inplane_offset=fbar, transverse_offset=z)
-        Fq, fkeys = self._quantize(ctx.gradients(values_full))
-        q3 = mesh.quad_coords()[2].ravel()
-        wq = mesh.quad_weights().ravel()
-        total = 0.0
-        for x3, w, F, fkey in zip(q3, wq, Fq, fkeys):
-            total += w * self._lookup(x3, F, fkey)
-        return 0.5 * total
-
-    def stats(self):
-        return {"submesh": self.mesh.n1, "quant": self.quant,
-                "hits": self.hits, "misses": self.misses}
-
-
 def _relaxed_value(W, spec, value, vals, mesh, z, l_star, diag):
     """Re-evaluate a nonconvex minimizer through the relaxed integrand.
 
     The descent ran with W itself, so ``value`` is an upper bound for the
-    relaxed cell problem; integrating the quasiconvexification surrogate
-    along the found field can only tighten it.  Convex families pass
-    through unchanged (their relaxed integrand is W).
+    relaxed cell problem; integrating a(x) QW, the family's closed-form
+    quasiconvex envelope, along the found field on the solve's
+    quadrature can only tighten it.  Where QW is convex (compatible
+    wells) the result stays at or above QW at the mean gradient, by
+    Jensen.  Convex families pass through unchanged (their relaxed
+    integrand is W).
     """
     diag["nonconvex_integrand"] = not W.is_convex
     if W.is_convex:
         return value
-    surrogate = QuasiconvexSurrogate(W, spec)
-    sur_val = surrogate.integral(vals, mesh, spec, spec.fbar, z, l_star)
-    diag["surrogate"] = surrogate.stats()
+    ctx = EnergyContext(W, mesh, l_star, 0.5, "frozen", spec.x0, spec.fbar, z)
+    e = ctx.modv * W.family.relaxed_energy(ctx.gradients(vals))
+    relaxed = ctx.prefactor * float(e @ mesh.quad_weights().ravel())
     diag["raw_integrand_value"] = value
-    diag["surrogate_value"] = sur_val
-    return min(value, sur_val)
+    diag["relaxed_value"] = relaxed
+    return min(value, relaxed)
 
 
 def _scan(W, spec, mode, z, warm_start):
@@ -481,8 +418,9 @@ def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec,
     For convex families the relaxed integrand equals W and both membrane
     forms agree up to discretization.  For nonconvex families the
     perturbation is found with W (a valid upper bound) and the value is
-    re-evaluated through the pointwise quasiconvexification surrogate;
-    the flag ``nonconvex_integrand`` marks such runs.
+    re-evaluated through the family's closed-form quasiconvex envelope
+    (``relaxed_value`` next to ``raw_integrand_value`` in the
+    diagnostics); the flag ``nonconvex_integrand`` marks such runs.
     """
     mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None,
                                             warm_start)
@@ -644,65 +582,6 @@ def quasiconvexify(W: StoredEnergyDensity, F, spec: CellProblemSpec,
     field = DiscreteField(mesh, vals)
     return CellSolution(float(value), None, field, diag,
                         _spec_hash(W, spec, "quasiconvexify"))
-
-
-def lamination_upper_bound(W: StoredEnergyDensity, F, x0=None) -> float:
-    """First-order lamination bound on the quasiconvexification at F.
-
-    Minimizes s W(F + (1-s) t R) + (1-s) W(F - s t R) over volume
-    fractions s in [0, 1] and offsets t >= 0, where R is a unit rank-one
-    matrix.  A coarse set of axis and diagonal directions is scanned and
-    two-well families contribute their own rank-one axis.  Always at most
-    W(x0; F) since t = 0 is admissible.
-    """
-    F = np.asarray(F, dtype=float).reshape(3, 3)
-    x0 = x0 or MaterialPoint((0.5, 0.5), 0.0)
-    a_mod = float(W.modulation.value(np.asarray(x0.x_alpha), np.asarray(x0.x3)))
-
-    def energy(M):
-        return a_mod * float(W.family.energy(M))
-
-    wells = getattr(W.family, "wells", ())
-    wmax = max((float(np.abs(A).max()) for A in wells), default=0.0)
-    t_max = 2.0 * (float(np.linalg.norm(F)) + 3.0 * wmax + 1.0)
-
-    pairs = []
-    fam_pair = getattr(W.family, "rank_one", None)
-    if fam_pair is not None:
-        pairs.append(fam_pair)
-    eyes = [np.eye(3)[i] for i in range(3)]
-    diags = [(eyes[0] + eyes[1]) / np.sqrt(2.0),
-             (eyes[0] - eyes[1]) / np.sqrt(2.0)]
-    for a_vec in eyes:
-        for n_vec in eyes + diags:
-            pairs.append((a_vec, n_vec))
-
-    best = energy(F)
-    for a_vec, n_vec in pairs:
-        R = np.outer(a_vec, n_vec)
-        nrm = float(np.linalg.norm(R))
-        if nrm < 1e-14:
-            continue
-        R = R / nrm
-
-        def lam(s, t):
-            return (s * energy(F + (1.0 - s) * t * R)
-                    + (1.0 - s) * energy(F - s * t * R))
-
-        s_grid = np.linspace(0.0, 1.0, 21)
-        t_grid = np.linspace(0.0, t_max, LAMINATION_GRID)
-        vals = np.array([[lam(s, t) for t in t_grid] for s in s_grid])
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)
-        s0, t0 = float(s_grid[i]), float(t_grid[j])
-        for _ in range(3):
-            t0, _ = golden_section(lambda t: lam(s0, t),
-                                   max(t0 - t_max / LAMINATION_GRID, 0.0),
-                                   min(t0 + t_max / LAMINATION_GRID, t_max), tol=1e-6)
-            s0, _ = golden_section(lambda s: lam(s, t0),
-                                   max(s0 - 0.05, 0.0), min(s0 + 0.05, 1.0),
-                                   tol=1e-6)
-        best = min(best, lam(s0, t0))
-    return float(best)
 
 
 def refinement_ladder(op, W: StoredEnergyDensity, spec: CellProblemSpec,

@@ -452,6 +452,7 @@ class _TwoWell:
     Ties between the wells resolve to the first well, both for the energy
     branch bookkeeping and for the stress subgradient choice.  With equal
     wells this degenerates to a shifted quadratic |F - A|^2.
+    ``relaxed_energy`` is its quasiconvex envelope in closed form.
     """
 
     name = "two_well"
@@ -467,6 +468,7 @@ class _TwoWell:
         B = 0.5 * (A1 - A2)
         self.half_gap = B
         u, s, vt = np.linalg.svd(B)
+        self.gap_sq = float(2.0 * s[0]) ** 2      # sigma_max(A1 - A2)^2
         if s[0] > 0 and (s.shape[0] < 2 or s[1] <= 1e-12 * s[0]):
             self.rank_one = (u[:, 0] * s[0], vt[0, :])   # B = a (x) n, |n| = 1
         else:
@@ -483,6 +485,23 @@ class _TwoWell:
     def energy(self, F):
         d1, d2 = self._dists(F)
         return np.minimum(d1, d2)
+
+    def relaxed_energy(self, F):
+        """Quasiconvex envelope QW (Kohn, 1991, wells of equal moduli).
+
+        QW = min over theta in [0, 1] of theta d1 + (1 - theta) d2
+        - theta (1 - theta) s2, with d_i = |F - A_i|^2 and s2 the squared
+        top singular value of A1 - A2.  Off the band |d1 - d2| < s2 the
+        minimum sits at an end and QW is bitwise ``energy(F)``; inside it
+        the interior minimum is clipped at 0 against roundoff.
+        """
+        d1, d2 = self._dists(F)
+        s2 = self.gap_sq
+        band = np.abs(d1 - d2) < s2
+        if not np.any(band):             # always so for equal wells (s2 = 0)
+            return np.minimum(d1, d2)
+        inner = np.maximum(d2 - (d1 - d2 - s2) ** 2 / (4.0 * s2), 0.0)
+        return np.where(band, inner, np.minimum(d1, d2))
 
     def energy_stress(self, F):
         """Energy and stress from one pair of well distances."""

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-SOLVER_VERSION = 3
+SOLVER_VERSION = 4
 
 # Mask codes: node not yet computed / value usable / solve or sandwich failed.
 PENDING, VALID, INVALID = 0, 1, 2

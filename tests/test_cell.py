@@ -10,21 +10,21 @@ import numpy as np
 import pytest
 
 from filmcell.cell import (CellProblemSpec, CellSolveError, InnerConfig,
-                           LSearchConfig, cosserat_density,
-                           lamination_upper_bound, membrane_density,
+                           LSearchConfig, cosserat_density, membrane_density,
                            membrane_density_periodic, minimize_over_z,
                            quasiconvexify, refinement_ladder)
 from filmcell.field import LATERAL_PERIODIC, CellMesh, transverse_average
 import filmcell.cell as cell_mod
 import filmcell.field as field_mod
-from filmcell.integrand import (FiberInfimumError, MaterialPoint,
-                                PlanarCheckerboard,
+from filmcell.integrand import (ConstantModulation, FiberInfimumError,
+                                MaterialPoint, PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
                                 density_from_config, pnorm_density,
                                 two_well_density)
 from filmcell.solvers import minimize_lbfgs
 from oracles import (laminate_cosserat, laminate_membrane, quadratic_cosserat,
-                     quadratic_membrane, rank_one_well, rel_err)
+                     quadratic_membrane, rank_one_well, rel_err,
+                     two_well_laminate, two_well_relaxed_compatible)
 
 MESH2 = CellMesh(2, 2, 2)
 W2 = pnorm_density(2.0)
@@ -175,13 +175,62 @@ def test_lamination_bound_dominates_envelope():
     W = two_well_density(A)
     for t in (0.0, 0.5):
         F = t * A
-        ub = lamination_upper_bound(W, F)
+        ub = two_well_laminate(F, A, -A)
         assert ub <= 1e-6
         sol = quasiconvexify(W, F, spec_at(np.zeros((3, 2)),
                                            mesh=CellMesh(4, 1, 4)))
         assert sol.value <= ub + 1e-3
     raw = W.evaluate(MaterialPoint((0.5, 0.5), 0.0), 2.0 * A)
-    assert lamination_upper_bound(W, 2.0 * A) <= raw + 1e-12
+    assert two_well_laminate(2.0 * A, A, -A) <= raw + 1e-12
+
+
+# -- two-well values through the closed-form relaxation -------------------------
+
+COLUMN_WELL = 0.7 * np.outer([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n3", [4, 7, 16])
+def test_two_well_column_cosserat_reaches_the_relaxed_zero(n3):
+    # z is the midpoint of the wells' segment: W there is 0.1225, QW is 0
+    W = two_well_density(COLUMN_WELL)
+    sol = cosserat_density(W, spec_at(np.zeros((3, 2)), [0.35, 0.0, 0.0],
+                                      mesh=CellMesh(1, 1, n3)))
+    assert 0.0 <= sol.value <= 1e-12
+    assert sol.diagnostics["raw_integrand_value"] > 0.1
+    assert sol.diagnostics["relaxed_value"] == sol.value
+
+
+def test_two_well_cosserat_never_falls_below_the_envelope():
+    well = rank_one_well()
+    W = two_well_density(well)
+    rng = np.random.default_rng(106)
+    for _ in range(6):
+        # criterion 06's points, on a narrow L window to keep the stalls short
+        fbar = 1.6 * well[:, :2] + 0.05 * rng.uniform(-1, 1, (3, 2))
+        z = 0.2 * rng.uniform(-1, 1, 3)
+        sol = cosserat_density(W, spec_at(fbar, z, l_search=LSearchConfig(0.5, 2.0, 3)))
+        q = two_well_relaxed_compatible(np.column_stack([fbar, z]), well)
+        assert sol.value >= q - 1e-12 * (1.0 + q)
+        assert sol.value == min(sol.diagnostics["raw_integrand_value"],
+                                sol.diagnostics["relaxed_value"])
+
+
+def test_relaxed_value_scales_with_the_modulation():
+    spec = spec_at(FB, [0.1, -0.05, 0.08])
+    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
+    vals = 0.3 * np.random.default_rng(9).normal(size=mesh.node_shape + (3,))
+
+    def relaxed(W):
+        diag = {}
+        cell_mod._relaxed_value(W, spec, np.inf, vals, mesh, spec.z, 0.7, diag)
+        return diag["relaxed_value"]
+
+    plain = relaxed(two_well_density(rank_one_well()))
+    assert plain > 0.0
+    for a in (0.5, 2.5):
+        scaled = relaxed(two_well_density(rank_one_well(),
+                                          modulation=ConstantModulation(a)))
+        assert abs(scaled - a * plain) <= 1e-14 * plain
 
 
 # -- search diagnostics and failure modes ------------------------------------
@@ -443,28 +492,6 @@ def test_minimize_over_z_value_closure_is_bitwise(monkeypatch):
         objective = [fun(x)[0] for x in reversed(points)][::-1]
         assert [np.float64(v).tobytes() for v in values] == [
             np.float64(v).tobytes() for v in objective]
-
-
-def test_surrogate_keys_match_the_per_point_rounding():
-    W = two_well_density(rank_one_well())
-    spec = spec_at(FB, [0.1, -0.05, 0.08])
-    sur = cell_mod.QuasiconvexSurrogate(W, spec)
-    q = sur.quant
-    rng = np.random.default_rng(9)
-    G = rng.normal(size=(64, 3, 3))
-    G[:8] = (np.round(G[:8] / q) + 0.5) * q      # halfway between lattice points
-    G[8:12] = -0.0
-    Fq, keys = sur._quantize(G)
-    for F, Fq_i, key in zip(G, Fq, keys):
-        want = np.round(F / q) * q
-        assert Fq_i.tobytes() == want.tobytes()
-        assert np.array(key).tobytes() == np.round(want, 9).ravel().tobytes()
-    # one surrogate integral: one lookup per quadrature point
-    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
-    vals = 0.05 * rng.normal(size=mesh.node_shape + (3,))
-    total = sur.integral(vals, mesh, spec, spec.fbar, spec.z, 1.0)
-    assert sur.hits + sur.misses == mesh.quad_weights().size
-    assert sur.misses == len(sur.cache) and np.isfinite(total)
 
 
 # -- warm starts rescaled along the L grid -------------------------------------

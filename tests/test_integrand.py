@@ -16,7 +16,8 @@ from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
                                 modulation_in_plane_constant, pnorm_density,
                                 two_well_density, verify_growth)
 import filmcell.integrand as integrand_mod
-from oracles import central_difference, two_well_raw
+from oracles import (central_difference, rank_one_well, two_well_laminate,
+                     two_well_raw, two_well_relaxed_compatible)
 
 MID = MaterialPoint((0.5, 0.5), 0.0)
 
@@ -311,6 +312,65 @@ def test_two_well_nonnegative_and_zero_at_wells(seed):
     assert W.evaluate(MID, A) == 0.0
     assert W.evaluate(MID, -A) == 0.0
     assert W.evaluate(MID, rand_F(rng)) >= 0.0
+
+
+# -- the two-well's closed-form relaxation -------------------------------------
+
+COLUMN_WELL = 0.7 * np.outer([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+
+
+def _near_the_wells(rng, A1, A2, n=16):
+    """Gradients around the segment between the wells and beyond its ends."""
+    theta = rng.uniform(-0.4, 1.4, n)[:, None, None]
+    return theta * A1 + (1.0 - theta) * A2 + 0.2 * rng.normal(size=(n, 3, 3))
+
+
+def _incompatible_pair(seed):
+    A1, A2 = 0.5 * np.random.default_rng(seed).normal(size=(2, 3, 3))
+    return A1, A2
+
+
+@pytest.mark.parametrize("A", [rank_one_well(), COLUMN_WELL])
+def test_two_well_relaxation_matches_both_oracles_for_compatible_wells(A):
+    family = two_well_density(A).family
+    F = _near_the_wells(np.random.default_rng(31), A, -A)
+    Q = family.relaxed_energy(F)
+    for F_i, q in zip(F, Q):
+        assert abs(q - two_well_relaxed_compatible(F_i, A)) <= 1e-12
+        assert abs(q - two_well_laminate(F_i, A, -A)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_well_relaxation_matches_the_laminate_for_incompatible_wells(seed):
+    A1, A2 = _incompatible_pair(seed)
+    family = two_well_density(A1, A2).family
+    assert family.rank_one is None
+    F = _near_the_wells(np.random.default_rng(seed + 40), A1, A2)
+    for F_i, q in zip(F, family.relaxed_energy(F)):
+        assert abs(q - two_well_laminate(F_i, A1, A2)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_well_relaxation_is_below_w_and_bitwise_w_off_the_band(seed):
+    rng = np.random.default_rng(seed + 50)
+    for A1, A2 in ((rank_one_well(), -rank_one_well()), _incompatible_pair(seed)):
+        family = two_well_density(A1, A2).family
+        F = _near_the_wells(rng, A1, A2, n=64)
+        Q, E = family.relaxed_energy(F), family.energy(F)
+        assert np.all(Q >= 0.0) and np.all(Q <= E)
+        d1, d2 = family._dists(F)
+        off = np.abs(d1 - d2) >= family.gap_sq
+        assert off.any() and not off.all()
+        assert Q[off].tobytes() == E[off].tobytes()
+        assert np.all(Q[~off] < E[~off])
+        assert all(np.float64(family.relaxed_energy(F_i)).tobytes() == q.tobytes()
+                   for F_i, q in zip(F, Q))
+    # equal wells: no band, and the envelope is the shifted quadratic itself
+    same = two_well_density(COLUMN_WELL, COLUMN_WELL).family
+    F = rng.normal(size=(8, 3, 3))
+    assert same.relaxed_energy(F).tobytes() == same.energy(F).tobytes()
+    # the midpoint of a column segment, where the unclipped form dips below 0
+    assert two_well_density(COLUMN_WELL).family.relaxed_energy(0.5 * COLUMN_WELL) == 0.0
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -153,9 +153,9 @@ def test_resume_rejects_mismatched_provenance():
 def test_resume_rejects_a_table_of_an_older_solver_version():
     grid = cosserat_grid()
     part = build_table(W_QUAD, grid, "cosserat", TEMPLATE, node_limit=2)
-    assert part.provenance["solver_version"] == tabulate_mod.SOLVER_VERSION == 3
+    assert part.provenance["solver_version"] == tabulate_mod.SOLVER_VERSION == 4
     old = DensityTable(part.grid, part.kind, part.values, part.mask,
-                       dict(part.provenance, solver_version=2))
+                       dict(part.provenance, solver_version=3))
     with pytest.raises(ValueError, match="provenance"):
         build_table(W_QUAD, grid, "cosserat", TEMPLATE, resume=old)
 
