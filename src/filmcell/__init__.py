@@ -37,8 +37,7 @@ from .cell import (
 )
 from .thinfilm import (
     LoadSystem, ThinFilmProblem, ConvergenceReport,
-    scaled_energy, minimize_thin_film, limit_membrane_energy,
-    convergence_study,
+    scaled_energy, minimize_thin_film, convergence_study,
 )
 from .tabulate import SampleGrid, DensityTable, build_table, query, save_table, load_table
 

@@ -80,16 +80,6 @@ _MODE_AXES = {
 }
 
 
-def _reference_rule(quadrature: str):
-    """Per-axis points and weights on the reference interval [0, 1]."""
-    if quadrature == "gauss2":
-        off = 1.0 / (2.0 * np.sqrt(3.0))
-        return np.array([0.5 - off, 0.5 + off]), np.array([0.5, 0.5])
-    if quadrature == "midpoint":
-        return np.array([0.5]), np.array([1.0])
-    raise ValueError(f"unknown quadrature rule {quadrature!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def _tensor_rule(quadrature: str, dim: int):
     """Tensor-product rule and multilinear shape functions on [0, 1]^dim.
@@ -98,8 +88,11 @@ def _tensor_rule(quadrature: str, dim: int):
     first axis slowest, weights (nq,), corner bits (2^dim, dim) with the
     first axis highest, shape values (nq, 2^dim) and reference
     derivatives (nq, 2^dim, dim).  Shared between callers: read-only.
+    ``quadrature`` names the rule and keys the caches; two-point Gauss
+    ("gauss2") per axis is the one rule.
     """
-    t, w = _reference_rule(quadrature)
+    off = 1.0 / (2.0 * np.sqrt(3.0))
+    t, w = np.array([0.5 - off, 0.5 + off]), np.array([0.5, 0.5])
     idx = np.indices((t.size,) * dim).reshape(dim, -1).T
     xi = t[idx]
     wq = np.prod(w[idx], axis=1)
@@ -379,6 +372,7 @@ class _Grid:
     ``node_shape`` and the lower ``corner`` are computed once per mesh.
     """
 
+    # The one rule; its name stays in spec content, hashes and cache keys.
     quadrature = "gauss2"
 
     def __post_init__(self, layers=()):
@@ -395,7 +389,6 @@ class _Grid:
         if min(lengths) <= 0:
             raise ValueError("in-plane lengths must be positive")
         counts = (self.n1, self.n2) + layers
-        _tensor_rule(self.quadrature, len(counts))
         # Frozen: the normalized fields and derived geometry go straight
         # into the instance dict.
         self.__dict__.update(
@@ -438,7 +431,6 @@ class CellMesh(_Grid):
     origin: tuple = (0.0, 0.0)
     lengths: tuple = (1.0, 1.0)
     boundary_mode: str = LATERAL_ZERO
-    quadrature: str = "gauss2"
 
     def __post_init__(self):
         if self.n3 < 2:

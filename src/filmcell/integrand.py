@@ -574,12 +574,6 @@ class StoredEnergyDensity:
         a = self.modulation.value(np.asarray(pt.x_alpha), pt.x3)
         return float(a * self.family.energy(np.asarray(F, dtype=float)))
 
-    def stress(self, x, F) -> np.ndarray:
-        pt = _as_point(x)
-        self._check_domain(pt)
-        a = self.modulation.value(np.asarray(pt.x_alpha), pt.x3)
-        return float(a) * self.family.energy_stress(np.asarray(F, dtype=float))[1]
-
     # -- array interface ----------------------------------------------------
 
     def energy_array(self, modv, F):

@@ -207,6 +207,16 @@ def _solve_node(W, grid, kind, template, flat_index):
     return value, VALID
 
 
+def _check_kind(kind, grid: SampleGrid, error):
+    """Raise ``error`` unless ``kind`` is known and matches the grid's z axes."""
+    if kind not in ("membrane", "cosserat"):
+        raise error(f"table kind must be 'membrane' or 'cosserat', got {kind!r}")
+    if kind == "cosserat" and grid.z_axes is None:
+        raise error("cosserat tables need z axes")
+    if kind == "membrane" and grid.z_axes is not None:
+        raise error("membrane tables take no z axes")
+
+
 def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat",
                 template: CellProblemSpec | None = None,
                 resume: DensityTable | None = None,
@@ -222,12 +232,7 @@ def build_table(W: StoredEnergyDensity, grid: SampleGrid, kind: str = "cosserat"
     """
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be non-negative, got {node_limit}")
-    if kind not in ("membrane", "cosserat"):
-        raise ValueError("table kind must be 'membrane' or 'cosserat'")
-    if kind == "cosserat" and grid.z_axes is None:
-        raise ValueError("cosserat tables need z axes")
-    if kind == "membrane" and grid.z_axes is not None:
-        raise ValueError("membrane tables take no z axes")
+    _check_kind(kind, grid, ValueError)
     template = template or CellProblemSpec(fbar=np.zeros((3, 2)))
     provenance = {
         "integrand": W.to_config(),
@@ -480,6 +485,7 @@ def load_table(path) -> DensityTable:
         raise TableParseError(f"header is missing {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise TableParseError(f"bad header field: {exc}") from exc
+    _check_kind(kind, grid, TableParseError)
     if grid.node_count != count:
         raise TableParseError("count does not match the grid")
     if len(block) != 8 * count:

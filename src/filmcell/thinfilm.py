@@ -27,12 +27,14 @@ The sheet omega is the in-plane case of the film's slab mesh; both
 meshes, the affine datum and the pinned parametrization live in
 ``field``, so the film and its limit share one clamp.
 
-A problem assembles what does not depend on eps once and keeps it: the
-film mesh, the clamp datum with its pinned values and affine start, the
-body-force work, the face loads at the quadrature points, and an energy
-context holding the modulation values and the datum gradient.  Each
-thickness then adds its face loads g + g0/eps, derives the context at
-transverse scale 1/eps and runs its descent.
+What does not depend on eps is assembled once per film mesh into an
+explicit ``_FilmAssembly``: the clamp datum with its pinned values and
+affine start, the body-force work, the face loads at the quadrature
+points, and an energy context holding the modulation values and the
+datum gradient.  A study builds one after its limit solve and hands it
+to every thickness; ``minimize_thin_film`` and ``scaled_energy`` build
+one per call.  Each thickness adds its face loads g + g0/eps, derives
+the context at transverse scale 1/eps and runs its descent.
 
 Density values reach the 2D assembly through a small source interface
 (value plus derivatives w.r.t. the membrane block and the transverse
@@ -66,8 +68,7 @@ from .cell import CellProblemSpec, InnerConfig, cosserat_density
 __all__ = [
     "SheetMesh", "LoadSystem", "ThinFilmProblem", "ConvergenceReport",
     "CellDensitySource", "TableDensitySource",
-    "scaled_energy", "minimize_thin_film", "bbar_at",
-    "limit_membrane_energy", "minimize_limit", "convergence_study",
+    "scaled_energy", "minimize_thin_film", "minimize_limit", "convergence_study",
 ]
 
 # ---------------------------------------------------------------------------
@@ -117,10 +118,6 @@ class LoadSystem:
             raise ValueError(
                 f"order-1 surface loads must cancel: max|g0(+) + g0(-)| = {mism}")
 
-    def is_zero(self):
-        return (self.f is None and all(e is None for e in self.g)
-                and all(e is None for e in self.g0))
-
 
 @dataclass
 class ThinFilmProblem:
@@ -160,22 +157,6 @@ class ThinFilmProblem:
         if self.cell_template is not None:
             return self.cell_template
         return CellProblemSpec(fbar=np.zeros((3, 2)), inner=self.inner)
-
-    def _assembly(self) -> _FilmAssembly:
-        """The thickness-independent film data, assembled on first use.
-
-        Rebuilt when W, omega, n3, fbar_bc or the loads are reassigned, or
-        when fbar_bc or a constant load is edited in place.
-        """
-        loads = self.loads
-        refs = (self.W, self.omega, loads, loads.f, *loads.g, *loads.g0)
-        # The held refs stay alive, so their ids cannot be reused.
-        key = (tuple(map(id, refs)), self.n3, np.asarray(self.fbar_bc, dtype=float).tobytes(),
-               *(np.asarray(e, dtype=float).tobytes() for e in refs[3:]
-                 if e is not None and not callable(e)))
-        if self.__dict__.get("_held", (None, None))[1] != key:
-            self._held = (refs, key, _FilmAssembly(self, self.film_mesh()))
-        return self._held[2]
 
 
 def _nodal_work(mesh, density):
@@ -233,9 +214,7 @@ def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> flo
     """
     if u.mesh.boundary_mode != LATERAL_AFFINE:
         raise ValueError("thin-film fields use the lateral-affine boundary mode")
-    film = problem._assembly()
-    if u.mesh != film.mesh:
-        film = _FilmAssembly(problem, u.mesh)
+    film = _FilmAssembly(problem, u.mesh)
     tol = 1e-9 * (1.0 + float(np.abs(film.datum).max()))
     mism = float(np.abs(unpack(pack(u.values, u.mesh), u.mesh, film.datum) - u.values).max())
     if mism > tol:
@@ -254,7 +233,11 @@ def minimize_thin_film(problem: ThinFilmProblem, eps: float):
     """
     if not any(abs(eps - e) <= 1e-15 for e in problem.epsilons):
         raise ValueError(f"thickness eps={eps} is not in the problem's thickness list")
-    film = problem._assembly()
+    return _solve_film(problem, _FilmAssembly(problem, problem.film_mesh()), eps)
+
+
+def _solve_film(problem, film, eps):
+    """``minimize_thin_film`` on an assembly the caller already holds."""
     ctx = film.context.rescaled(1.0 / eps)
     ell = film.load_vector(eps)
     ell_free, ell_pinned = pack(ell, film.mesh), float(np.sum(ell * film.pinned))
@@ -460,33 +443,6 @@ def _limit_density_terms(source, sheet, F, b_values, with_grads=False):
     return total, dF, dB
 
 
-def bbar_at(sheet: SheetMesh, b_values, x_alpha):
-    """Per-cell bbar field evaluated at an in-plane point."""
-    h1, h2 = sheet.spacings
-    i = min(max(int((x_alpha[0] - sheet.origin[0]) / h1), 0), sheet.n1 - 1)
-    j = min(max(int((x_alpha[1] - sheet.origin[1]) / h2), 0), sheet.n2 - 1)
-    return np.asarray(b_values)[i, j]
-
-
-def limit_membrane_energy(source, sheet: SheetMesh, loads: LoadSystem,
-                          v_values, b_values) -> float:
-    """Limit membrane functional J(v, bbar) for given discrete 2D fields.
-
-    ``source`` provides the effective density (cell solver or table).
-    ``v_values`` is nodal with shape (n1+1, n2+1, 3); ``b_values`` holds
-    one transverse vector per cell, shape (n1, n2, 3), since bbar enters
-    the functional without derivatives.  Returns 2 Int Q(x; Dv | bbar)
-    minus the load work.
-    """
-    v_values = np.asarray(v_values, dtype=float)
-    b_values = np.asarray(b_values, dtype=float)
-    loads.check_compatibility(sheet)
-    F = kinematic_operator(sheet, (OPEN, OPEN)).apply(v_values.ravel())
-    total, _, _ = _limit_density_terms(source, sheet, F.reshape(-1, 3, 2), b_values)
-    ell_v, ell_b = _limit_load_vectors(loads, sheet)
-    return total - float(np.sum(ell_v * v_values)) - float(np.sum(ell_b * b_values))
-
-
 # Distinct points the limit objective remembers: at least one descent
 # iteration's trial points (solvers.MAX_BACKTRACKS + 1).
 _LIMIT_MEMO_SIZE = 64
@@ -616,9 +572,9 @@ class ConvergenceReport:
                          f"{r['iterations']},{r['seconds']!r}\n")
 
 
-def _study_row(problem, eps, limit_energy):
+def _study_row(problem, film, eps, limit_energy):
     t0 = time.perf_counter()
-    value, field, bbar, info = minimize_thin_film(problem, eps)
+    value, field, bbar, info = _solve_film(problem, film, eps)
     seconds = time.perf_counter() - t0
     gap = (value - limit_energy) / (abs(limit_energy) or 1.0)
     sheet = field.mesh.sheet()
@@ -638,7 +594,8 @@ def convergence_study(problem: ThinFilmProblem, source=None) -> ConvergenceRepor
     bbar) on the problem's sheet, with the density coming from nested
     cell solves unless a prebuilt ``source`` is given.  Rows follow the
     input thickness order; a failing thickness yields an error marker
-    row instead of aborting the study.
+    row instead of aborting the study, and a failing film assembly one
+    in every row.
     """
     sheet = problem.omega
     if source is None:
@@ -648,9 +605,16 @@ def convergence_study(problem: ThinFilmProblem, source=None) -> ConvergenceRepor
         source, sheet, problem.loads, problem.fbar_bc, problem.limit_inner)
     limit_info = dict(limit_info, seconds=time.perf_counter() - t0)
 
+    try:
+        film = _FilmAssembly(problem, problem.film_mesh())
+    except Exception as exc:   # noqa: BLE001 - every row reports it
+        film = exc
+
     def run(eps):
         try:
-            return _study_row(problem, eps, limit_energy)
+            if isinstance(film, Exception):
+                raise film
+            return _study_row(problem, film, eps, limit_energy)
         except Exception as exc:   # noqa: BLE001 - partial reports by contract
             return {"epsilon": eps, "error": f"{type(exc).__name__}: {exc}"}
 

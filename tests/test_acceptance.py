@@ -46,7 +46,6 @@ from filmcell.thinfilm import (
     LoadSystem,
     SheetMesh,
     ThinFilmProblem,
-    bbar_at,
     minimize_limit,
     minimize_thin_film,
 )
@@ -349,7 +348,8 @@ def test_criterion_08_derivatives_match_differences():
                 dm = float(np.sum((F + well) ** 2))
                 if abs(dp - dm) < 0.3:
                     continue  # differentiable branch only
-            S = np.asarray(W.stress(pt, F))
+            modv = W.modulation.value(np.asarray(pt.x_alpha), pt.x3)
+            S = W.energy_stress_array(modv, F)[1]
             G = fd_stress(W, pt, F)
             err = float(np.max(np.abs(S - G))) / (1.0 + float(np.max(np.abs(G))))
             assert err <= 1e-6, (W.family_label, err)
@@ -443,8 +443,6 @@ def test_criterion_11_limit_selects_transverse_vector():
     sheet = SheetMesh(2, 2)
     template = CellProblemSpec(fbar=np.zeros((3, 2)), mesh=CellMesh(2, 2, 2),
                                inner=SINGLE)
-    samples = [(0.2, 0.3), (0.7, 0.8), (0.4, 0.6), (0.9, 0.1), (0.1, 0.9)]
-
     # opposite constant face tractions: the optimal transverse vector is
     # half the traction, in particular nonzero
     c = np.array([0.0, 0.0, 0.4])
@@ -452,10 +450,8 @@ def test_criterion_11_limit_selects_transverse_vector():
     _, _, b_loaded, _ = minimize_limit(source, sheet,
                                        LoadSystem(g0=(c, -c)),
                                        np.zeros((3, 2)))
-    worst_a = max(float(np.max(np.abs(bbar_at(sheet, b_loaded, x) - c / 2.0)))
-                  for x in samples)
-    nonzero = min(float(np.linalg.norm(bbar_at(sheet, b_loaded, x)))
-                  for x in samples)
+    worst_a = float(np.max(np.abs(b_loaded - c / 2.0)))
+    nonzero = float(np.linalg.norm(b_loaded, axis=-1).min())
 
     # zero loads: the limit's transverse vector must match the joint
     # cell minimization of the same density
@@ -464,8 +460,7 @@ def test_criterion_11_limit_selects_transverse_vector():
     _, b0 = solve_minz(W_C, replace(template, fbar=fbar_bc, z=np.zeros(3)))
     source = CellDensitySource(W_C, template)
     _, _, b_free, _ = minimize_limit(source, sheet, LoadSystem(), fbar_bc)
-    worst_b = max(float(np.max(np.abs(bbar_at(sheet, b_free, x) - b0)))
-                  for x in samples)
+    worst_b = float(np.max(np.abs(b_free - b0)))
     ok = (nonzero > 0.1 and worst_a <= two_tol(float(np.linalg.norm(c / 2)))
           and worst_b <= two_tol(float(np.linalg.norm(b0))))
     _report(11, "limit solves select the transverse vector", ok,

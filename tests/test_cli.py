@@ -515,3 +515,20 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"filmcell.{info.name}.{name}"
             checked += 1
     assert checked > 0
+
+
+def test_package_names_are_module_exports():
+    # what the package re-exports is public where it is defined
+    import importlib
+    import types
+
+    import filmcell
+
+    checked = 0
+    for name, obj in vars(filmcell).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        module = importlib.import_module(obj.__module__)
+        assert name in module.__all__, f"filmcell.{name} from {obj.__module__}"
+        checked += 1
+    assert checked > 0

@@ -326,7 +326,6 @@ def test_operator_cache_keys_on_geometry():
 @pytest.mark.parametrize("mesh", [
     CellMesh(2, 3, 4),
     CellMesh(2, 3, 4, origin=(0.5, -1.0), lengths=(2.0, 0.3)),
-    CellMesh(3, 1, 2, quadrature="midpoint"),
     SheetMesh(4, 2, origin=(1.0, -1.0), lengths=(2.0, 1.0)),
     SheetMesh(3, 3),
 ])
@@ -348,8 +347,7 @@ def test_cached_quadrature_is_read_only_and_fresh(mesh):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
     # Independent formula: tensor Gauss points, first axis slowest.
-    t = ([0.5] if mesh.quadrature == "midpoint"
-         else [0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    t = [0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]
     xi = list(itertools.product(t, repeat=dim))
     for cell in np.ndindex(*mesh.counts):
         for q, point in enumerate(xi):

@@ -72,7 +72,7 @@ def test_two_well_values_and_tie():
     # equidistant point: energy is the common distance, stress from well +
     mid = np.zeros((3, 3))
     assert W.evaluate(MID, mid) == pytest.approx(0.49, rel=1e-14)
-    assert np.allclose(W.stress(MID, mid), 2.0 * (mid - A))
+    assert np.allclose(W.energy_stress_array(1.0, mid)[1], 2.0 * (mid - A))
 
 
 @pytest.mark.parametrize("make", [
@@ -86,7 +86,7 @@ def test_stress_matches_fd(make):
     rng = np.random.default_rng(3)
     for _ in range(5):
         F = rand_F(rng) + 0.1
-        S = W.stress(MID, F)
+        S = W.energy_stress_array(1.0, F)[1]
         G = central_difference(lambda X: W.evaluate(MID, X), F)
         assert np.allclose(S, G, rtol=1e-6, atol=1e-6)
 

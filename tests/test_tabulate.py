@@ -420,6 +420,8 @@ def test_save_load_round_trip(tmp_path):
     (lambda d: d.replace(b"end-header\n", b"end-heater\n"), "sentinel"),
     (lambda d: d[:-8], "truncated value block"),
     (lambda d: d[:-1] + bytes([d[-1] ^ 0xFF]), "checksum mismatch"),
+    (lambda d: d.replace(b"kind: membrane", b"kind: bogus"), "table kind"),
+    (lambda d: d.replace(b"kind: membrane", b"kind: cosserat"), "need z axes"),
 ])
 def test_load_rejects_corruption(tmp_path, tamper, message):
     table = build_table(W_QUAD, membrane_grid(), "membrane", TEMPLATE)

@@ -10,8 +10,8 @@ import filmcell.thinfilm as thinfilm
 from filmcell.cell import CellProblemSpec, InnerConfig, minimize_over_z
 from filmcell.config import build_problem, load_config
 from filmcell.field import (
-    PINNED, CellMesh, DiscreteField, LATERAL_ZERO, affine_values, kinematic_operator,
-    pack, unpack,
+    LATERAL_AFFINE, OPEN, PINNED, CellMesh, DiscreteField, LATERAL_ZERO, affine_values,
+    kinematic_operator, pack, trapezoid_weights, unpack,
 )
 from filmcell.integrand import (
     PlanarCheckerboard,
@@ -26,9 +26,7 @@ from filmcell.thinfilm import (
     SheetMesh,
     TableDensitySource,
     ThinFilmProblem,
-    bbar_at,
     convergence_study,
-    limit_membrane_energy,
     minimize_limit,
     minimize_thin_film,
     scaled_energy,
@@ -119,8 +117,6 @@ def test_load_accessors_broadcast():
     assert gv.shape == (4, 3)
     assert np.allclose(gv[:, 2], 2.0)
     assert np.allclose(loads.g_at(-1, x, x), 0.0)
-    assert not loads.is_zero()
-    assert LoadSystem().is_zero()
 
 
 def test_order_one_loads_must_cancel():
@@ -205,15 +201,15 @@ def test_minimize_film_thickness_must_be_listed():
 def test_limit_energy_of_affine_competitor():
     sheet = SheetMesh(2, 2)
     source = CellDensitySource(W_QUAD, SMALL_CELL)
-    v = affine_values(sheet, FBAR)
-    b = np.zeros((sheet.n1, sheet.n2, 3))
-    got = limit_membrane_energy(source, sheet, LoadSystem(), v, b)
+    # the start is the affine datum with zero bbar
+    fun, x0, split = thinfilm._limit_objective(source, sheet, LoadSystem(), FBAR)
+    assert np.array_equal(split(x0)[0], affine_values(sheet, FBAR))
     want = 2.0 * float(np.sum(FBAR**2))
-    assert rel_err(got, want) < 1e-8
+    assert rel_err(fun(x0)[0], want) < 1e-8
     # a nonzero transverse vector adds 2 |b|^2 per unit area here
-    b[...] = np.array([0.1, 0.0, -0.2])
-    got_b = limit_membrane_energy(source, sheet, LoadSystem(), v, b)
-    assert rel_err(got_b, want + 2.0 * 0.05) < 1e-8
+    x = x0.copy()
+    x[-sheet.n1 * sheet.n2 * 3:] = np.tile([0.1, 0.0, -0.2], sheet.n1 * sheet.n2)
+    assert rel_err(fun(x)[0], want + 2.0 * 0.05) < 1e-8
 
 
 def test_minimize_limit_quadratic():
@@ -239,8 +235,7 @@ def test_minimize_limit_constant_traction_pair():
     value, v, b, _ = minimize_limit(source, sheet, loads, np.zeros((3, 2)))
     assert abs(value - (-0.5 * 0.16 * sheet.area)) < 1e-8
     assert np.abs(v).max() < 1e-6
-    for x_alpha in [(0.2, 0.3), (0.7, 0.8)]:
-        assert np.allclose(bbar_at(sheet, b, x_alpha), c / 2.0, atol=1e-6)
+    assert np.allclose(b, c / 2.0, atol=1e-6)
 
 
 def test_minimize_limit_picks_fiber_vector():
@@ -262,15 +257,6 @@ def test_minimize_limit_picks_fiber_vector():
     for i in range(sheet.n1):
         for j in range(sheet.n2):
             assert np.allclose(b[i, j], b0, atol=1e-5)
-
-
-def test_bbar_at_indexes_cells():
-    sheet = SheetMesh(2, 2)
-    b = np.arange(12, dtype=float).reshape(2, 2, 3)
-    assert np.allclose(bbar_at(sheet, b, (0.1, 0.1)), b[0, 0])
-    assert np.allclose(bbar_at(sheet, b, (0.9, 0.4)), b[1, 0])
-    # clamped outside the sheet
-    assert np.allclose(bbar_at(sheet, b, (-5.0, 5.0)), b[0, 1])
 
 
 def test_convergence_study_layered_sheet():
@@ -312,14 +298,14 @@ def test_convergence_study_to_csv(tmp_path):
 
 def test_convergence_study_keeps_error_rows(tmp_path, monkeypatch):
     problem = quad_problem()
-    real = thinfilm.minimize_thin_film
+    real = thinfilm._solve_film
 
-    def flaky(prob, eps):
+    def flaky(prob, film, eps):
         if eps == 0.5:
             raise RuntimeError("boom")
-        return real(prob, eps)
+        return real(prob, film, eps)
 
-    monkeypatch.setattr(thinfilm, "minimize_thin_film", flaky)
+    monkeypatch.setattr(thinfilm, "_solve_film", flaky)
     study = convergence_study(problem)
     assert not study.ok
     assert "error" not in study.rows[0]
@@ -351,15 +337,29 @@ def test_limit_gradient_matches_central_differences():
     x = x0 + 0.1 * rng.normal(size=x0.shape)
     val, grad = fun(x)
 
-    def energy(vec):
+    def nodal_energy(vec):
+        # J on the nodal fields: 2 Int Q by the sheet's quadrature, minus
+        # the work of the constant loads (2 f + g(+)) . v, the bilinear v
+        # integrating exactly by the trapezoid rule, and 2 g0(+) . bbar
         v, b = split(vec)
-        return limit_membrane_energy(source, sheet, loads, v, b)
-    assert val == pytest.approx(energy(x), rel=1e-12)
+        F = kinematic_operator(sheet, (OPEN, OPEN)).apply(v.ravel()).reshape(-1, 3, 2)
+        q1, q2 = (q.ravel() for q in sheet.quad_coords())
+        w = sheet.quad_weights().ravel()
+        bq = np.repeat(b.reshape(-1, 3), w.size // b[..., 0].size, axis=0)
+        bulk = sum(2.0 * w[p] * source.evaluate((q1[p], q2[p]), F[p], bq[p])[0]
+                   for p in range(w.size))
+        cell_area = np.prod(sheet.spacings)
+        v_mean = np.tensordot(trapezoid_weights(sheet.node_shape), v, axes=2) * cell_area
+        work_v = (2.0 * np.array([0.1, 0.0, -0.2]) + [0.0, 0.1, 0.0]) @ v_mean
+        work_b = 2.0 * np.array([0.0, 0.0, 0.4]) @ b.sum(axis=(0, 1)) * cell_area
+        return bulk - work_v - work_b
+    # the pinned parametrization evaluates the same J as the nodal fields
+    assert val == pytest.approx(nodal_energy(x), rel=1e-12)
     h = 1e-6
     for k in range(x.size):
         e = np.zeros_like(x)
         e[k] = h
-        fd = (energy(x + e) - energy(x - e)) / (2 * h)
+        fd = (fun(x + e)[0] - fun(x - e)[0]) / (2 * h)
         assert abs(grad[k] - fd) < 1e-6 * (1.0 + abs(fd))
 
 
@@ -688,8 +688,9 @@ def without_seconds(row):
 
 @pytest.mark.parametrize("make", [loadpath_problem, laminate_problem, two_well_problem])
 def test_rows_equal_standalone_solves_bitwise(make):
-    # A problem keeps its thickness-independent data across solves; each
-    # thickness, in either order, must give what a fresh problem gives.
+    # A study shares one assembly of the thickness-independent data across
+    # its rows; each thickness, in either order, must give what a fresh
+    # problem gives.
     epsilons = make().epsilons
     fresh = {eps: solve_bytes(make(), eps) for eps in epsilons}
     for order in (epsilons, epsilons[::-1]):
@@ -698,7 +699,9 @@ def test_rows_equal_standalone_solves_bitwise(make):
             assert solve_bytes(shared, eps) == fresh[eps]
     study = convergence_study(make(), source=_SmoothSource())
     for eps, row in zip(epsilons, study.rows):
-        alone = thinfilm._study_row(make(), eps, study.limit_energy)
+        problem = make()
+        film = thinfilm._FilmAssembly(problem, problem.film_mesh())
+        alone = thinfilm._study_row(problem, film, eps, study.limit_energy)
         assert without_seconds(row) == without_seconds(alone)
 
 
@@ -730,3 +733,41 @@ def test_stored_film_data_follows_reassigned_fields():
     assert energies(problem) == energies(fresh(problem))
     problem.loads.f[0] = 0.5
     assert energies(problem) == energies(fresh(problem))
+
+
+def test_study_builds_one_film_assembly(monkeypatch):
+    built = []
+
+    class Counted(thinfilm._FilmAssembly):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+    monkeypatch.setattr(thinfilm, "_FilmAssembly", Counted)
+    problem = quad_problem(epsilons=(1.0, 0.5, 0.25))
+    study = convergence_study(problem, source=_SmoothSource())
+    assert study.ok and len(study.rows) == 3
+    assert built == [problem.film_mesh()]
+
+
+def test_study_reports_a_failing_assembly_in_every_row(monkeypatch):
+    def broken(problem, mesh):
+        raise RuntimeError("no assembly")
+    monkeypatch.setattr(thinfilm, "_FilmAssembly", broken)
+    study = convergence_study(quad_problem(), source=_SmoothSource())
+    assert study.rows == [{"epsilon": eps, "error": "RuntimeError: no assembly"}
+                          for eps in (1.0, 0.5)]
+
+
+def test_scaled_energy_on_a_film_mesh_of_another_thickness_count():
+    loads = LoadSystem(f=[0.1, 0.0, -0.2], g0=([0.0, 0.0, 0.4], [0.0, 0.0, -0.4]))
+    problem = quad_problem(loads=loads, n3=2)
+    mesh = CellMesh(2, 2, 4, boundary_mode=LATERAL_AFFINE)
+    assert mesh != problem.film_mesh()
+    u = DiscreteField(mesh, problem.boundary_datum(mesh))
+    got = scaled_energy(problem, 0.5, u)
+    assert got == scaled_energy(replace(problem, n3=4), 0.5, u)
+    # the affine field: bulk 2 |F|^2 per unit area, the body force's work
+    # over the slab of volume 2, no work of the cancelling face pair
+    want = 2.0 * float(np.sum(FBAR**2)) - 2.0 * float(
+        np.array([0.1, 0.0, -0.2]) @ affine_values(problem.omega, FBAR).mean(axis=(0, 1)))
+    assert rel_err(got, want) < 1e-12
