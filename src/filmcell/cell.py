@@ -145,7 +145,7 @@ class CellProblemSpec:
             "x0": {"x_alpha": list(self.x0.x_alpha), "x3": self.x0.x3},
             "mesh": [self.mesh.n1, self.mesh.n2, self.mesh.n3,
                      list(self.mesh.origin), list(self.mesh.lengths),
-                     self.mesh.quadrature],
+                     "gauss2"],
             "l_search": [self.l_search.l_min, self.l_search.l_max,
                          self.l_search.grid_count, self.l_search.golden_tol],
             "inner": [self.inner.max_iter, self.inner.grad_tol,
@@ -411,8 +411,7 @@ def membrane_density(W: StoredEnergyDensity, spec: CellProblemSpec,
                         _spec_hash(W, spec, "membrane"))
 
 
-def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec,
-                              warm_start: DiscreteField | None = None) -> CellSolution:
+def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec) -> CellSolution:
     """Membrane density in the laterally periodic relaxed form.
 
     For convex families the relaxed integrand equals W and both membrane
@@ -422,8 +421,7 @@ def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec,
     (``relaxed_value`` next to ``raw_integrand_value`` in the
     diagnostics); the flag ``nonconvex_integrand`` marks such runs.
     """
-    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None,
-                                            warm_start)
+    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None, None)
     value = _relaxed_value(W, spec, value, vals, mesh, None, l_star, diag)
     field = DiscreteField(mesh, vals)
     return CellSolution(float(value), l_star, field, diag,
@@ -474,16 +472,15 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
                         _spec_hash(W, spec, "cosserat"))
 
 
-def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
-                    warm_start: DiscreteField | None = None):
+def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
     """Minimize the Cosserat density over the transverse vector z.
 
     The transverse vector enters the same smooth objective as the cell
     field, so both are descended jointly, which is equivalent to the
-    nested minimization and shares its warm starts.  Ties in value
-    resolve to the candidate of smallest |z|.  The growth sandwich
-    confines any minimizer to a computable ball; a b0 outside it is
-    flagged ``b0-outside-coercivity-radius``.
+    nested minimization.  Ties in value resolve to the candidate of
+    smallest |z|.  The growth sandwich confines any minimizer to a
+    computable ball; a b0 outside it is flagged
+    ``b0-outside-coercivity-radius``.
 
     Returns (CellSolution, b0).
     """
@@ -499,12 +496,6 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
     except FiberInfimumError:
         fiber_skipped = True
     radius = W.growth.coercivity_radius(spec.fbar)
-
-    warm0 = None
-    if warm_start is not None:
-        meta = warm_start.constraint_meta or {}
-        z_meta = np.asarray(meta.get("target", np.zeros(3)), dtype=float)
-        warm0 = np.concatenate([pack(warm_start.values, mesh), z_meta])
 
     def solve_at(L, warm_values):
         ctx = EnergyContext(W, mesh, transverse_scale=L, prefactor=0.5,
@@ -525,8 +516,7 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
             starts.append(("warm", warm_values))
         for flabel, fvals in _base_starts(W, mesh, spec, spec.fbar, L):
             fvec = pack(fvals, mesh)
-            z_combos = z_starts if (not W.is_convex or flabel == "zero") else z_starts[:1]
-            for zlabel, z0 in z_combos:
+            for zlabel, z0 in z_starts:
                 starts.append((f"{flabel}/{zlabel}",
                                np.concatenate([fvec, z0])))
         best, diag = multistart_minimize(
@@ -535,11 +525,11 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec,
         return best.value, best.x, diag
 
     rescale = None
-    if W.is_convex and warm0 is None:
+    if W.is_convex:
         def rescale(vec, ratio):
             return np.concatenate([vec[:nfree] * ratio, vec[nfree:]])
 
-    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, warm0, rescale)
+    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, rescale=rescale)
     if fiber_skipped:
         diag["warnings"].append("fiber-start-skipped")
     psi = unpack(projector.project(joint[:nfree]), mesh)
@@ -590,8 +580,9 @@ def refinement_ladder(op, W: StoredEnergyDensity, spec: CellProblemSpec,
 
     Injected coarse minimizers join the start list on every refined mesh,
     so the reported values are non-increasing up to solver tolerance.
-    ``op`` is one of the cell operations taking (W, spec, warm_start).
-    Returns the list of solutions, coarsest first.
+    ``op`` is ``membrane_density`` or ``cosserat_density``, the two cell
+    operations taking (W, spec, warm_start).  Returns the list of
+    solutions, coarsest first.
     """
     out = []
     sol = op(W, spec)

@@ -28,6 +28,7 @@ import tempfile
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -275,26 +276,18 @@ class _CheckContext:
         self.W = build_density(resolved)
         self.spec = build_cell_spec(resolved)
         self.spec_z = build_cell_spec(resolved, with_z=True)
-        self._cache = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def membrane(self):
-        return self._get("membrane", lambda: membrane_density(self.W, self.spec))
+        return membrane_density(self.W, self.spec)
 
-    @property
+    @cached_property
     def periodic(self):
-        return self._get("periodic",
-                         lambda: membrane_density_periodic(self.W, self.spec))
+        return membrane_density_periodic(self.W, self.spec)
 
-    @property
+    @cached_property
     def cosserat0(self):
-        spec = replace(self.spec, z=np.zeros(3))
-        return self._get("cosserat0", lambda: cosserat_density(self.W, spec))
+        return cosserat_density(self.W, replace(self.spec, z=np.zeros(3)))
 
     def tol_abs(self, ref):
         return 2.0 * self.spec.tol * (1.0 + abs(ref))

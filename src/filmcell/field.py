@@ -81,15 +81,13 @@ _MODE_AXES = {
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_rule(quadrature: str, dim: int):
-    """Tensor-product rule and multilinear shape functions on [0, 1]^dim.
+def _tensor_rule(dim: int):
+    """Two-point Gauss rule per axis and multilinear shape functions on [0, 1]^dim.
 
     Returns (xi, wq, corners, shape, dshape): points (nq, dim) with the
     first axis slowest, weights (nq,), corner bits (2^dim, dim) with the
     first axis highest, shape values (nq, 2^dim) and reference
     derivatives (nq, 2^dim, dim).  Shared between callers: read-only.
-    ``quadrature`` names the rule and keys the caches; two-point Gauss
-    ("gauss2") per axis is the one rule.
     """
     off = 1.0 / (2.0 * np.sqrt(3.0))
     t, w = np.array([0.5 - off, 0.5 + off]), np.array([0.5, 0.5])
@@ -109,13 +107,13 @@ def _tensor_rule(quadrature: str, dim: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _quad_coords(counts, origin, spacings, quadrature):
+def _quad_coords(counts, origin, spacings):
     """Per-axis coordinates of every quadrature point, each counts + (nq,).
 
     Cached per geometry (tuple arguments) and shared between callers:
     read-only.
     """
-    xi = _tensor_rule(quadrature, len(counts))[0]
+    xi = _tensor_rule(len(counts))[0]
     out = tuple(o + (c[..., None] + xi[:, a]) * h for a, (o, h, c) in
                 enumerate(zip(origin, spacings, np.indices(counts))))
     for arr in out:
@@ -124,9 +122,9 @@ def _quad_coords(counts, origin, spacings, quadrature):
 
 
 @functools.lru_cache(maxsize=32)
-def _quad_weights(counts, spacings, quadrature):
+def _quad_weights(counts, spacings):
     """Physical weight of every quadrature point, counts + (nq,); read-only."""
-    w = _tensor_rule(quadrature, len(counts))[1] * float(np.prod(spacings))
+    w = _tensor_rule(len(counts))[1] * float(np.prod(spacings))
     out = np.broadcast_to(w, counts + (w.size,)).copy()
     out.setflags(write=False)
     return out
@@ -161,7 +159,7 @@ def _node_layout(counts: tuple, axes: tuple):
     return dof, first
 
 
-def grid_operator(counts, spacings, quadrature, axes, derivative=True):
+def grid_operator(counts, spacings, axes, derivative=True):
     """Sparse map from the dofs of a structured grid to its quadrature points.
 
     ``counts`` cells per axis (2 or 3 axes), ``axes`` one dof rule per
@@ -173,7 +171,7 @@ def grid_operator(counts, spacings, quadrature, axes, derivative=True):
     contribute nothing; periodic twins share a column.
     """
     dim = len(counts)
-    _, _, corners, shape, dshape = _tensor_rule(quadrature, dim)
+    _, _, corners, shape, dshape = _tensor_rule(dim)
     nq, nc = shape.shape
     coef = dshape / np.asarray(spacings) if derivative else shape[:, :, None]
     ndir = coef.shape[2]
@@ -234,9 +232,8 @@ class KinematicOperator:
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_operator(counts, spacings, quadrature, axes, constrained,
-                     derivative=True):
-    B = grid_operator(counts, spacings, quadrature, axes, derivative)
+def _cached_operator(counts, spacings, axes, constrained, derivative=True):
+    B = grid_operator(counts, spacings, axes, derivative)
     nnode = B.shape[1] // 3
     eye = np.eye(3)
     rows = []
@@ -265,13 +262,13 @@ def kinematic_operator(mesh, axes=None, constrained=False) -> KinematicOperator:
     rule of the mesh's boundary mode, ``(OPEN,) * dim`` gives raw nodal
     values.  ``constrained`` adds the transverse-average projector (3D).
     A small bounded cache keeps one operator per (cell counts, spacings,
-    quadrature, axes, constraint), so solves on one geometry share it:
-    every L of a scan, every start, every thickness row.
+    axes, constraint), so solves on one geometry share it: every L of a
+    scan, every start, every thickness row.
     """
     if axes is None:
         axes = _dof_axes(mesh)
-    return _cached_operator(mesh.counts, mesh.spacings, mesh.quadrature,
-                            tuple(axes), bool(constrained))
+    return _cached_operator(mesh.counts, mesh.spacings, tuple(axes),
+                            bool(constrained))
 
 
 def value_operator(mesh) -> KinematicOperator:
@@ -280,7 +277,7 @@ def value_operator(mesh) -> KinematicOperator:
     Rows run over cells, quadrature points and components; shares the
     bounded cache of ``kinematic_operator``.
     """
-    return _cached_operator(mesh.counts, mesh.spacings, mesh.quadrature,
+    return _cached_operator(mesh.counts, mesh.spacings,
                             (OPEN,) * len(mesh.counts), False, False)
 
 
@@ -372,9 +369,6 @@ class _Grid:
     ``node_shape`` and the lower ``corner`` are computed once per mesh.
     """
 
-    # The one rule; its name stays in spec content, hashes and cache keys.
-    quadrature = "gauss2"
-
     def __post_init__(self, layers=()):
         """Validate and set the geometry; ``layers`` holds a slab's n3."""
         try:
@@ -409,11 +403,11 @@ class _Grid:
 
     def quad_coords(self):
         """Coordinates of all quadrature points, each of shape counts + (nq,)."""
-        return _quad_coords(self.counts, self.corner, self.spacings, self.quadrature)
+        return _quad_coords(self.counts, self.corner, self.spacings)
 
     def quad_weights(self):
         """Physical weight of every quadrature point; sums to the box volume."""
-        return _quad_weights(self.counts, self.spacings, self.quadrature)
+        return _quad_weights(self.counts, self.spacings)
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,7 @@ class _PNorm:
         return GrowthSpec(self.p, self.scale, self.scale)
 
     def fiber_starts(self, fbar):
-        return [np.zeros(3)]
+        return []
 
     def params(self):
         return {"p": self.p, "scale": self.scale}
@@ -440,7 +440,7 @@ class _AnisoQuadratic:
         czz = self.cmat[np.ix_(_ZCOL, _ZCOL)]
         rhs = -self.cmat[np.ix_(_ZCOL, _PCOL)] @ v[_PCOL]
         zstar = np.linalg.solve(czz, rhs)
-        return [np.zeros(3), zstar]
+        return [zstar]
 
     def params(self):
         return {"cmat": [[float(x) for x in row] for row in self.cmat]}
@@ -517,7 +517,7 @@ class _TwoWell:
         return GrowthSpec(2.0, 1e-4, max(2.0, 2.0 * amax2))
 
     def fiber_starts(self, fbar):
-        return [np.zeros(3), self.wells[0][:, 2].copy(), self.wells[1][:, 2].copy()]
+        return [self.wells[0][:, 2].copy(), self.wells[1][:, 2].copy()]
 
     def params(self):
         return {"well_plus": [[float(x) for x in r] for r in self.wells[0]],

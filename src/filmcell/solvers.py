@@ -76,8 +76,11 @@ class SolveResult:
     grad_norm: float
     iterations: int
     n_evals: int
-    converged: bool
     status: str = "ok"
+
+    @property
+    def converged(self) -> bool:
+        return self.status != "max_iter"
 
 
 def _two_loop(grad, s_list, y_list, rho_list):
@@ -120,12 +123,11 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
     y_list: list = []
     rho_list: list = []
     status = "max_iter"
-    converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= cfg.grad_tol * (1.0 + abs(f)):
-            status, converged = "ok", True
+            status = "ok"
             break
         if newton is None:
             d = -_two_loop(g, s_list, y_list, rho_list)
@@ -152,7 +154,7 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
                 break
             step *= STEP_SHRINK
         if not accepted:
-            status, converged = "line_search", True
+            status = "line_search"
             break
         if g_new is None:
             g_new = fun(x_new)[1]
@@ -170,12 +172,10 @@ def minimize_lbfgs(fun, x0, config: SolverConfig | None = None,
         x = x_new
         f, g = f_new, np.asarray(g_new, dtype=float)
     gnorm = float(np.linalg.norm(g))
-    if gnorm <= cfg.grad_tol * (1.0 + abs(f)):
-        converged = True
-        if status == "max_iter":
-            status = "ok"
+    if gnorm <= cfg.grad_tol * (1.0 + abs(f)) and status == "max_iter":
+        status = "ok"
     return SolveResult(x=x, value=float(f), grad_norm=gnorm, iterations=it,
-                       n_evals=n_evals, converged=converged, status=status)
+                       n_evals=n_evals, status=status)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0

@@ -479,11 +479,12 @@ def load_table(path) -> DensityTable:
         count = int(fields["count"])
         grid = SampleGrid.from_config(json.loads(fields["grid"]))
         provenance = json.loads(fields["provenance"])
+        integrand = provenance.get("integrand")
         mask_hex = fields["mask"]
         want_hash = fields["values_sha256"]
     except KeyError as exc:
         raise TableParseError(f"header is missing {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise TableParseError(f"bad header field: {exc}") from exc
     _check_kind(kind, grid, TableParseError)
     if grid.node_count != count:
@@ -502,6 +503,12 @@ def load_table(path) -> DensityTable:
     if mask.max(initial=0) > INVALID:
         raise TableParseError("mask holds unknown codes")
     values = np.frombuffer(block, dtype="<f8").astype(float)
+    if not np.isfinite(values[mask == VALID]).all():
+        raise TableParseError("mask marks a non-finite value as valid")
+    # The checksum covers only the values: tie the stored integrand to its hash.
+    if integrand is not None and provenance.get("integrand_hash") != hashlib.sha256(
+            json.dumps(integrand, sort_keys=True).encode()).hexdigest():
+        raise TableParseError("provenance integrand does not match its integrand_hash")
     return DensityTable(grid, kind, values.reshape(grid.shape),
                         mask.astype(np.uint8).reshape(grid.shape), provenance)
 

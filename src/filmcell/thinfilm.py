@@ -199,11 +199,6 @@ class _FilmAssembly:
         return ell
 
 
-def _load_split(ell, mesh, datum):
-    """Load work l . u split as (free-dof vector, constant from the pinned datum)."""
-    return pack(ell, mesh), float(np.sum(ell * pinned_values(mesh, datum)))
-
-
 def scaled_energy(problem: ThinFilmProblem, eps: float, u: DiscreteField) -> float:
     """Scaled film energy E_eps(u) including all load terms.
 
@@ -414,7 +409,7 @@ def _limit_load_vectors(loads: LoadSystem, sheet: SheetMesh):
     return ell_v, ell_b
 
 
-def _limit_density_terms(source, sheet, F, b_values, with_grads=False):
+def _limit_density_terms(source, sheet, F, b_values):
     """2 Int Q(x; F | bbar) by quadrature, and its derivatives.
 
     ``F`` holds the membrane gradients at every quadrature point, shape
@@ -428,16 +423,11 @@ def _limit_density_terms(source, sheet, F, b_values, with_grads=False):
     nq = w.size // (sheet.n1 * sheet.n2)
     b = np.repeat(np.asarray(b_values).reshape(-1, 3), nq, axis=0)
     vals = np.empty(w.size)
-    dF = np.empty(F.shape) if with_grads else None
-    dz = np.empty(b.shape) if with_grads else None
+    dF = np.empty(F.shape)
+    dz = np.empty(b.shape)
     for p, (x1, x2) in enumerate(zip(q1.ravel(), q2.ravel())):
-        vals[p], gF, gz = source.evaluate((x1, x2), F[p], b[p])
-        if with_grads:
-            dF[p] = gF
-            dz[p] = gz
+        vals[p], dF[p], dz[p] = source.evaluate((x1, x2), F[p], b[p])
     total = float(vals @ w)
-    if not with_grads:
-        return total, None, None
     dF *= w[:, None, None]
     dB = (dz * w[:, None]).reshape(sheet.n1, sheet.n2, nq, 3).sum(axis=2)
     return total, dF, dB
@@ -488,9 +478,9 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
     ell_v, ell_b = _limit_load_vectors(loads, sheet)
     op = kinematic_operator(sheet)
     nv = op.ndof
-    datum_grad = kinematic_operator(sheet, (OPEN, OPEN)).apply(
-        pinned_values(sheet, datum).ravel())
-    ell_free, ell_pinned = _load_split(ell_v, sheet, datum)
+    pinned = pinned_values(sheet, datum)
+    datum_grad = kinematic_operator(sheet, (OPEN, OPEN)).apply(pinned.ravel())
+    ell_free, ell_pinned = pack(ell_v, sheet), float(np.sum(ell_v * pinned))
     cells = (sheet.n1, sheet.n2, 3)
 
     def split(vec):
@@ -499,7 +489,7 @@ def _limit_objective(source, sheet: SheetMesh, loads: LoadSystem, fbar_bc):
     def fun(vec):
         xv, b = vec[:nv], vec[nv:].reshape(cells)
         F = (op.apply(xv) + datum_grad).reshape(-1, 3, 2)
-        total, dF, dB = _limit_density_terms(source, sheet, F, b, with_grads=True)
+        total, dF, dB = _limit_density_terms(source, sheet, F, b)
         val = (total - float(ell_free @ xv) - ell_pinned
                - float(np.sum(ell_b * b)))
         return val, np.concatenate([op.adjoint(dF.ravel()) - ell_free,

@@ -312,6 +312,16 @@ def test_spec_content_distinguishes_kind():
     assert spec.content("membrane") != spec.content("cosserat")
 
 
+def test_spec_keys_are_stable():
+    # Spec hashes key resumable tables and table provenance; a mesh or
+    # spec refactor must not re-key them.
+    spec = spec_at(FB, [0.2, -0.1, 0.4])
+    assert spec.content("cosserat")["mesh"] == [2, 2, 2, [0.0, 0.0], [1.0, 1.0],
+                                                "gauss2"]
+    assert cell_mod._spec_hash(LAM, spec, "cosserat") == (
+        "626b83a6864672aa1b4a1b6517889b2c7b6635e0d8e6fb2a67b73262b1c95165")
+
+
 @pytest.mark.parametrize("name,kw", [
     ("fbar", {"fbar": np.full((3, 2), np.nan)}),
     ("z", {"fbar": FB, "z": [0.0, np.inf, 0.0]}),

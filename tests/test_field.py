@@ -335,10 +335,8 @@ def test_cached_quadrature_is_read_only_and_fresh(mesh):
     coords = mesh.quad_coords()
     weights = mesh.quad_weights()
     assert mesh.quad_coords() is coords and mesh.quad_weights() is weights
-    fresh_coords = field_mod._quad_coords.__wrapped__(
-        mesh.counts, origin, mesh.spacings, mesh.quadrature)
-    fresh_weights = field_mod._quad_weights.__wrapped__(
-        mesh.counts, mesh.spacings, mesh.quadrature)
+    fresh_coords = field_mod._quad_coords.__wrapped__(mesh.counts, origin, mesh.spacings)
+    fresh_weights = field_mod._quad_weights.__wrapped__(mesh.counts, mesh.spacings)
     assert weights.tobytes() == fresh_weights.tobytes()
     for got, want in zip(coords, fresh_coords):
         assert got.tobytes() == want.tobytes()
@@ -510,8 +508,8 @@ def test_value_operator_is_cached_and_matches_a_fresh_build():
         dim = len(mesh.counts)
         V = field_mod.value_operator(mesh)
         assert field_mod.value_operator(mesh) is V
-        fresh = field_mod.grid_operator(mesh.counts, mesh.spacings, mesh.quadrature,
-                                        (OPEN,) * dim, derivative=False)
+        fresh = field_mod.grid_operator(mesh.counts, mesh.spacings, (OPEN,) * dim,
+                                        derivative=False)
         density = np.random.default_rng(24).normal(size=V.B.shape[0])
         assert (V.B.T @ density).tobytes() == (fresh.T @ density).tobytes()
 

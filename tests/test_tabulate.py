@@ -1,5 +1,6 @@
 """Tests for density table building, interpolation, and the file format."""
 
+import json
 from itertools import product
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from filmcell.cell import CellProblemSpec, membrane_density
 from filmcell.field import CellMesh
-from filmcell.integrand import (GrowthSpec, MaterialPoint, density_from_config,
-                                pnorm_density)
+from filmcell.integrand import (GrowthSpec, MaterialPoint, PlanarCheckerboard,
+                                density_from_config, pnorm_density)
 import filmcell.tabulate as tabulate_mod
 from filmcell.tabulate import (
     INVALID,
@@ -422,6 +423,8 @@ def test_save_load_round_trip(tmp_path):
     (lambda d: d[:-1] + bytes([d[-1] ^ 0xFF]), "checksum mismatch"),
     (lambda d: d.replace(b"kind: membrane", b"kind: bogus"), "table kind"),
     (lambda d: d.replace(b"kind: membrane", b"kind: cosserat"), "need z axes"),
+    (lambda d: d.replace(d[d.index(b"provenance: "):d.index(b"\nmask: ")],
+                         b"provenance: []"), "bad header field"),
 ])
 def test_load_rejects_corruption(tmp_path, tamper, message):
     table = build_table(W_QUAD, membrane_grid(), "membrane", TEMPLATE)
@@ -430,6 +433,37 @@ def test_load_rejects_corruption(tmp_path, tamper, message):
     (tmp_path / "bad.fct").write_bytes(tamper(path.read_bytes()))
     with pytest.raises(TableParseError, match=message):
         load_table(tmp_path / "bad.fct")
+
+
+def test_load_rejects_an_integrand_edited_past_its_hash(tmp_path):
+    # The value checksum does not cover the header: an edited integrand
+    # would let a checkerboard table pass as in-plane constant.
+    checker = pnorm_density(p=2.0, modulation=PlanarCheckerboard((1.0, 2.0), 0.5))
+    grid = SampleGrid(((0.25, 0.25),), (FROZEN,) * 6, (FROZEN,) * 3)
+    path = tmp_path / "table.fct"
+    save_table(build_table(checker, grid, "cosserat", TEMPLATE), path)
+    assert load_table(path).provenance["integrand_hash"] == checker.content_hash()
+    head, sep, block = path.read_bytes().partition(b"end-header\n")
+    lines = head.decode().splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("provenance: "))
+    provenance = json.loads(lines[i][len("provenance: "):])
+    provenance["integrand"]["modulation"] = {"kind": "constant", "value": 1.0}
+    lines[i] = "provenance: " + json.dumps(provenance, sort_keys=True)
+    edited = tmp_path / "edited.fct"
+    edited.write_bytes("\n".join(lines + [""]).encode() + sep + block)
+    with pytest.raises(TableParseError, match="integrand_hash"):
+        load_table(edited)
+
+
+def test_load_rejects_a_pending_node_marked_valid(tmp_path):
+    table = build_table(W_QUAD, membrane_grid(), "membrane", TEMPLATE, node_limit=1)
+    assert list(table.mask.ravel()) == [VALID, PENDING, PENDING]
+    path = tmp_path / "table.fct"
+    save_table(table, path)
+    edited = tmp_path / "edited.fct"
+    edited.write_bytes(path.read_bytes().replace(b"mask: 010000", b"mask: 010100"))
+    with pytest.raises(TableParseError, match="non-finite value as valid"):
+        load_table(edited)
 
 
 def test_load_rejects_bad_mask(tmp_path):
