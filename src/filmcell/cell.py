@@ -20,21 +20,21 @@ On top of these sit the 3D quasiconvexification on the unit cube and
 the minimization over the transverse vector producing the optimal
 Cosserat vector b0.
 
-The L-infimum is scanned on a log grid and polished by golden-section
-refinement; inner minimizations share the descent contract from
-:mod:`filmcell.solvers` and are warm-started along the L grid.  For
-convex W the laterally periodic minimizer depends on x3 only, so those
-scans hand each L the previous field scaled by L'/L, which is exact
-(see ``_l_scan``); the clamped form, non-convex families and warm
-starts given by the caller chain unscaled.  A
-minimum attained strictly at a grid boundary raises the
-``l-search-boundary`` warning in the diagnostics.  For a quadratic W
-(p-norm with p = 2, anisotropic quadratic, under any modulation) the
-fixed-L problem is a quadratic form, and the inner descents of the
-three cell forms and of the quasiconvexification take Newton steps on
-its exact Hessian, whose factorization at each L is cached for the
-process (see ``EnergyContext.newton``); other families, and the joint
-descent of ``minimize_over_z``, use L-BFGS.
+For convex W the periodic membrane forms are one fiber solve and one
+energy evaluation (``_fiber_cell``).  Every other cell problem scans the
+L-infimum on a log grid, polished by golden-section refinement; inner
+minimizations share the descent contract from :mod:`filmcell.solvers`
+and are warm-started along the L grid.  Convex Cosserat scans hand each
+L the previous field scaled by L'/L, which is exact (see ``_l_scan``);
+the clamped form, non-convex families and warm starts given by the
+caller chain unscaled.  A minimum attained strictly at a grid boundary
+raises the ``l-search-boundary`` warning in the diagnostics.  For a
+quadratic W (p-norm with p = 2, anisotropic quadratic, under any
+modulation) the fixed-L problem is a quadratic form, and the inner
+descents of the cell forms and of the quasiconvexification take Newton
+steps on its exact Hessian, whose factorization at each L is cached for
+the process (see ``EnergyContext.newton``); other families, and the
+joint descent of ``minimize_over_z`` for non-convex W, use L-BFGS.
 
 The transverse-average constraint is enforced by reparametrization, not
 by multipliers: the solver variable is an unconstrained periodic field
@@ -96,6 +96,8 @@ class LSearchConfig:
             raise ValueError("need 0 < l_min < l_max")
         if self.grid_count < 2:
             raise ValueError("need at least two L grid points")
+        if not self.golden_tol > 0.0:
+            raise ValueError("need golden_tol > 0")
 
     def grid(self):
         return np.logspace(math.log10(self.l_min), math.log10(self.l_max),
@@ -111,6 +113,14 @@ class InnerConfig:
     multistart: int = 3
     perturb_scale: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        for rule, ok in (("max_iter >= 1", self.max_iter >= 1),
+                         ("grad_tol > 0", self.grad_tol > 0.0),
+                         ("multistart >= 1", self.multistart >= 1),
+                         ("perturb_scale >= 0", self.perturb_scale >= 0.0)):
+            if not ok:
+                raise ValueError(f"need {rule}")
 
     def solver(self) -> SolverConfig:
         return SolverConfig(max_iter=self.max_iter, grad_tol=self.grad_tol)
@@ -218,22 +228,15 @@ def _laminate_seed(W, mesh, gradient_scale):
 def _base_starts(W, mesh, spec, fbar, gradient_scale, warm_values=None):
     """Ordered (label, full nodal values) pairs for the inner multistart.
 
-    Convex families get the zero start (plus the warm one); the discrete
-    problem is then convex and any start reaches the minimum.  Quadratic
-    families (``W.moduli`` set) drop the zero start when a warm one
-    exists: their Newton descents send both to the same minimizer, and
-    ties go to the earlier, warm start anyway.  Nonconvex families add a
-    mesh-aligned laminate seed, the negated affine lift and seeded
-    random perturbations.
+    Convex families get the warm start when there is one, else the zero
+    start; the discrete problem is then convex and any start reaches the
+    minimum.  Nonconvex families get both, then a mesh-aligned laminate
+    seed, the negated affine lift and seeded random perturbations.
     """
-    starts = []
-    if warm_values is not None:
-        starts.append(("warm", warm_values))
-        if W.moduli is not None:
-            return starts
-    starts.append(("zero", np.zeros(mesh.node_shape + (3,))))
+    zero = ("zero", np.zeros(mesh.node_shape + (3,)))
+    starts = [zero] if warm_values is None else [("warm", warm_values), zero]
     if W.is_convex:
-        return starts
+        return starts[:1]
     lam = _laminate_seed(W, mesh, gradient_scale)
     if lam is not None:
         starts.append(("laminate", lam))
@@ -276,19 +279,19 @@ def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None, rescale=None):
     chained: each grid point warm-starts from its predecessor, and each
     golden-section point from the best field found so far.  With
     ``rescale(values, ratio)`` that warm field, found at L', is handed
-    over as ``rescale(values, L' / L)``: callers pass it for convex W in
-    the laterally periodic forms without a warm start of their own.
-    There the minimizer depends on x3 only (its average over lateral
-    translations keeps the constraint and, by Jensen, does not raise
-    the energy), so its D_alpha vanishes and L D_3 of the scaled field
-    is L' D_3 of the old one: the scaled field is the minimizer at L
-    with equal energy, and the linear homogeneous constraint still
-    holds.  A Newton scan thus factors once, and each later L passes
-    its stopping test with one evaluation; an L-BFGS minimizer's
-    gradient grows by L / L' per step (the test is not scale invariant)
-    and is polished where it crosses the tolerance.  Flat profiles
-    resolve to the grid point closest to L = 1; a strict minimum at a
-    window edge is flagged ``l-search-boundary``.
+    over as ``rescale(values, L' / L)``: ``_scan`` passes it for convex
+    Cosserat cells without a caller's warm start.  There the minimizer
+    depends on x3 only (its average over lateral translations keeps the
+    constraint and, by Jensen, does not raise the energy), so its
+    D_alpha vanishes and L D_3 of the scaled field is L' D_3 of the old
+    one: the scaled field is the minimizer at L with equal energy, and
+    the linear homogeneous constraint still holds.  A Newton scan thus
+    factors once, and each later L passes its stopping test with one
+    evaluation; an L-BFGS minimizer's gradient grows by L / L' per step
+    (the test is not scale invariant) and is polished where it crosses
+    the tolerance.  Flat profiles resolve to the grid point closest to
+    L = 1; a strict minimum at a window edge is flagged
+    ``l-search-boundary``.
     """
     def chained(L, vals, l_from):
         if rescale is None or l_from is None:
@@ -385,6 +388,26 @@ def _lifted_field(mesh, psi, z, l_star, diag):
     return field
 
 
+def _fiber_cell(W, spec):
+    """Laterally periodic membrane cell of a convex W in closed form.
+
+    The discrete minimizer depends on x3 only (``_l_scan``), so with z
+    free each element's scaled transverse gradient sits at the fiber
+    minimizer b0, and the infimum over L and fields is the affine state
+    (Fbar | b0) at L = 1.  Returns (mesh, value, 1.0, psi = 0, b0, diag).
+    """
+    mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
+    diag = {"cell_reduction": "fiber", "warnings": [], "nonconvex_integrand": False}
+    try:
+        _, b0 = W.fiber_infimum(spec.x0, spec.fbar)
+    except FiberInfimumError as exc:
+        raise CellSolveError(str(exc), exc.best_value, diag) from exc
+    diag["b0"] = [float(v) for v in b0]
+    psi = np.zeros(mesh.node_shape + (3,))
+    value = EnergyContext(W, mesh, 1.0, 0.5, "frozen", spec.x0, spec.fbar, b0).value(psi)
+    return mesh, value, 1.0, psi, b0, diag
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -414,17 +437,21 @@ def membrane_density(W: StoredEnergyDensity, spec: CellProblemSpec,
 def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec) -> CellSolution:
     """Membrane density in the laterally periodic relaxed form.
 
-    For convex families the relaxed integrand equals W and both membrane
-    forms agree up to discretization.  For nonconvex families the
-    perturbation is found with W (a valid upper bound) and the value is
-    re-evaluated through the family's closed-form quasiconvex envelope
-    (``relaxed_value`` next to ``raw_integrand_value`` in the
-    diagnostics); the flag ``nonconvex_integrand`` marks such runs.
+    For convex families the relaxed integrand equals W, and the value is
+    the closed form of ``_fiber_cell``, with the field x3 b0.  For
+    nonconvex families the perturbation is found with W (a valid upper
+    bound) and the value is re-evaluated through the family's
+    closed-form quasiconvex envelope (``relaxed_value`` next to
+    ``raw_integrand_value`` in the diagnostics); the flag
+    ``nonconvex_integrand`` marks such runs.
     """
-    mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None, None)
-    value = _relaxed_value(W, spec, value, vals, mesh, None, l_star, diag)
-    field = DiscreteField(mesh, vals)
-    return CellSolution(float(value), l_star, field, diag,
+    if W.is_convex:
+        mesh, value, l_star, _, b0, diag = _fiber_cell(W, spec)
+        vals = affine_values(mesh, np.zeros((3, 2)), b0)
+    else:
+        mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None, None)
+        value = _relaxed_value(W, spec, value, vals, mesh, None, l_star, diag)
+    return CellSolution(float(value), l_star, DiscreteField(mesh, vals), diag,
                         _spec_hash(W, spec, "membrane-periodic"))
 
 
@@ -472,18 +499,8 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
                         _spec_hash(W, spec, "cosserat"))
 
 
-def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
-    """Minimize the Cosserat density over the transverse vector z.
-
-    The transverse vector enters the same smooth objective as the cell
-    field, so both are descended jointly, which is equivalent to the
-    nested minimization.  Ties in value resolve to the candidate of
-    smallest |z|.  The growth sandwich confines any minimizer to a
-    computable ball; a b0 outside it is flagged
-    ``b0-outside-coercivity-radius``.
-
-    Returns (CellSolution, b0).
-    """
+def _joint_scan(W, spec):
+    """Joint (field, z) L-scan of a non-convex W, as ``_fiber_cell`` returns."""
     mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
     projector = kinematic_operator(mesh, constrained=True)
     nfree = projector.ndof
@@ -495,7 +512,6 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
         z_starts.append(("zf", z_fiber))
     except FiberInfimumError:
         fiber_skipped = True
-    radius = W.growth.coercivity_radius(spec.fbar)
 
     def solve_at(L, warm_values):
         ctx = EnergyContext(W, mesh, transverse_scale=L, prefactor=0.5,
@@ -524,18 +540,30 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
             prefer=lambda r: float(np.linalg.norm(r.x[nfree:])))
         return best.value, best.x, diag
 
-    rescale = None
-    if W.is_convex:
-        def rescale(vec, ratio):
-            return np.concatenate([vec[:nfree] * ratio, vec[nfree:]])
-
-    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search, rescale=rescale)
+    value, l_star, joint, diag = _l_scan(solve_at, spec.l_search)
     if fiber_skipped:
         diag["warnings"].append("fiber-start-skipped")
     psi = unpack(projector.project(joint[:nfree]), mesh)
     b0 = joint[nfree:].copy()
     value = _relaxed_value(W, spec, value, psi, mesh, b0, l_star, diag)
-    diag["coercivity_radius"] = radius
+    return mesh, value, l_star, psi, b0, diag
+
+
+def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
+    """Minimize the Cosserat density over the transverse vector z.
+
+    For convex W this is the periodic membrane form of ``_fiber_cell``.
+    Otherwise z enters the same smooth objective as the cell field, so
+    both are descended jointly, which is equivalent to the nested
+    minimization; ties in value resolve to the candidate of smallest
+    |z|.  The growth sandwich confines any minimizer to a computable
+    ball; a b0 outside it is flagged ``b0-outside-coercivity-radius``.
+
+    Returns (CellSolution, b0).
+    """
+    cell = _fiber_cell if W.is_convex else _joint_scan
+    mesh, value, l_star, psi, b0, diag = cell(W, spec)
+    radius = diag["coercivity_radius"] = W.growth.coercivity_radius(spec.fbar)
     if float(np.linalg.norm(b0)) > radius + 1e-6:
         diag.setdefault("warnings", []).append("b0-outside-coercivity-radius")
     _check_split_bounds(W, spec, value, b0, diag)

@@ -242,6 +242,8 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
     cell_spec = build_cell_spec(resolved, with_z=True)
     if not gc["epsilons"]:
         raise ConfigError("config key 'gamma.epsilons' must be a non-empty list")
+    if not gc["limit_grad_tol"] > 0.0:
+        raise ConfigError("config key 'gamma.limit_grad_tol' must be positive")
     try:
         return ThinFilmProblem(
             W=build_density(resolved),

@@ -597,9 +597,11 @@ class StoredEnergyDensity:
     def fiber_infimum(self, x, fbar):
         """Infimum of z -> W(x; join(fbar, z)) over transverse vectors.
 
-        Multistart quasi-Newton from the zero vector, the plus/minus
-        columns of ``fbar`` and family-specific candidates (well columns,
-        the exact quadratic minimizer).  Starts farther than the
+        Convex families run one quasi-Newton descent, since any start
+        reaches the minimum: from the family's exact candidate when it
+        has one (the quadratic's 3x3 solve), else from zero.  Others run
+        a multistart from zero, the plus/minus columns of ``fbar`` and
+        their candidates (the well columns).  Starts farther than the
         coercivity radius derived from the growth sandwich are skipped.
 
         Returns (value, z_star).
@@ -615,11 +617,14 @@ class StoredEnergyDensity:
             energy, stress = self.family.energy_stress(F)
             return a * float(energy), a * stress[:, 2]
 
+        family = [(f"family{i}", np.asarray(z0, dtype=float))
+                  for i, z0 in enumerate(self.family.fiber_starts(fbar))]
         starts = [("zero", np.zeros(3))]
-        starts += [(f"col{i}{s:+d}", s * fbar[:, i].copy())
-                   for i in range(2) for s in (1, -1)]
-        starts += [(f"family{i}", np.asarray(z0, dtype=float))
-                   for i, z0 in enumerate(self.family.fiber_starts(fbar))]
+        if self.is_convex:
+            starts = family[:1] or starts
+        else:
+            starts += [(f"col{i}{s:+d}", s * fbar[:, i].copy())
+                       for i in range(2) for s in (1, -1)] + family
         starts = [(lab, z0) for lab, z0 in starts
                   if float(np.linalg.norm(z0)) <= radius + 1e-9]
         if not starts:

@@ -122,16 +122,23 @@ def test_minimize_over_z_picks_the_fiber_vector():
     assert rel_err(sol.value, want) < 1e-8
 
 
+# the single active well of test_minimize_over_z_picks_the_fiber_vector
+ACTIVE_WELL = np.diag([0.4, 0.0, 0.3])
+NARROW = LSearchConfig(0.5, 2.0, 3)
+
+
 def test_minimize_over_z_records_a_skipped_fiber_start(monkeypatch):
-    W = pnorm_density(2.0)
+    # the joint descent runs for non-convex W only
+    W = two_well_density(ACTIVE_WELL)
 
     def no_fiber(x, fbar):
         raise FiberInfimumError("forced failure")
     monkeypatch.setattr(W, "fiber_infimum", no_fiber)
-    sol, b0 = minimize_over_z(W, spec_at(FB))
+    fbar = 1.5 * ACTIVE_WELL[:, :2]
+    sol, b0 = minimize_over_z(W, spec_at(fbar, l_search=NARROW))
     assert "fiber-start-skipped" in sol.warnings
-    assert rel_err(sol.value, quadratic_membrane(FB)) < 1e-8
-    assert np.linalg.norm(b0) < 1e-6
+    assert rel_err(sol.value, float(np.sum((fbar - ACTIVE_WELL[:, :2]) ** 2))) < 1e-8
+    assert np.max(np.abs(b0 - ACTIVE_WELL[:, 2])) < 1e-6
 
 
 def test_cosserat_above_minimum_over_z():
@@ -351,7 +358,7 @@ def test_stalling_laminate_cosserat_converges_at_every_l(monkeypatch):
     assert set(statuses) == {"ok"}
 
 
-def test_only_quadratic_families_drop_the_zero_start():
+def test_convex_families_drop_the_zero_start_after_a_warm_one():
     warm = np.ones(MESH2.node_shape + (3,))
     spec = spec_at(FB)
 
@@ -360,7 +367,8 @@ def test_only_quadratic_families_drop_the_zero_start():
                                                             warm_values)]
     assert labels(LAM, warm) == ["warm"]
     assert labels(LAM, None) == ["zero"]
-    assert labels(pnorm_density(3.0), warm) == ["warm", "zero"]
+    assert labels(pnorm_density(3.0), warm) == ["warm"]
+    assert labels(two_well_density(ACTIVE_WELL), warm)[:2] == ["warm", "zero"]
 
 
 def test_second_table_node_reuses_every_factorization(monkeypatch):
@@ -491,8 +499,8 @@ def test_minimize_over_z_value_closure_is_bitwise(monkeypatch):
         seen.append((fun, kwargs["value"], [x for _, x in starts]))
         return real(fun, starts, *args, **kwargs)
     monkeypatch.setattr(cell_mod, "multistart_minimize", spy)
-    W = pnorm_density(3.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
-    minimize_over_z(W, spec_at(FB, l_search=LSearchConfig(0.5, 2.0, 3)))
+    W = two_well_density(ACTIVE_WELL)
+    minimize_over_z(W, spec_at(1.5 * ACTIVE_WELL[:, :2], l_search=NARROW))
     rng = np.random.default_rng(5)
     assert seen
     for fun, value, starts in seen:
@@ -522,13 +530,13 @@ RESCALED_FAMILIES = {
     "p3-laminate": LAM3,
     "coupled-laminate": COUPLED_LAM,
 }
-# L-BFGS descents (a non-quadratic W, or the joint descent over z) whose
-# minimizer is not the zero field.
-LBFGS_PROFILES = {("p3-laminate", "cosserat"), ("coupled-laminate", "minimize_over_z")}
+# L-BFGS descents (a non-quadratic W) whose minimizer is not the zero field.
+LBFGS_PROFILES = {("p3-laminate", "cosserat")}
 RESCALED_FORMS = {
-    "periodic": membrane_density_periodic,
+    # the closed-form periodic membrane is checked against this scan
+    "periodic": lambda W, spec: cell_mod.CellSolution(
+        *cell_mod._scan(W, spec, LATERAL_PERIODIC, None, None)[1:3], None),
     "cosserat": cosserat_density,
-    "minimize_over_z": lambda W, spec: minimize_over_z(W, spec)[0],
 }
 
 
@@ -581,9 +589,8 @@ def test_rescaled_scan_matches_unscaled_chaining(monkeypatch, name, form):
         assert evals.count(1) >= len(evals) // 2
     else:
         assert evals == [1] * (len(calls) - 1)
-    if W.moduli is not None and form != "minimize_over_z":
-        # quadratic families run the warm start alone
-        assert [sum(s["n_evals"] for s in starts) for starts in calls[1:]] == evals
+    # convex families run the warm start alone
+    assert [sum(s["n_evals"] for s in starts) for starts in calls[1:]] == evals
 
 
 def test_cold_laminate_cosserat_scan_factors_once(monkeypatch):
@@ -665,3 +672,56 @@ def test_golden_points_start_from_the_rescaled_best_field():
     for L, warm in seen[5:]:
         # the best field stays the grid point at L = 1
         assert np.array_equal(warm, np.full(3, 1.0) * (1.0 / L))
+
+
+# -- convex membrane cells in closed form ---------------------------------------
+
+CLOSED_FORM_FAMILIES = {
+    "p1.5": pnorm_density(1.5),
+    "p2": W2,
+    "p3": pnorm_density(3.0),
+    "coupled-laminate": COUPLED_LAM,
+    "laminate": LAM,
+    "checkerboard": pnorm_density(2.0, modulation=PlanarCheckerboard((1.0, 2.0), 0.5)),
+    "x3-expression": density_from_config({
+        "family": "pnorm", "params": {"p": 3.0},
+        "modulation": {"kind": "expression", "expression": "1 + 0.5*x3*x3"},
+        "growth": {"p": 3.0, "beta_lower": 1.0, "beta_upper": 1.5}}),
+    "product": density_from_config({
+        "family": "aniso_quadratic", "params": {"cmat": COUPLING.tolist()},
+        "modulation": {"kind": "product", "factors": [
+            {"kind": "laminate_x3", "levels": [1.0, 3.0], "breaks": [0.2]},
+            {"kind": "checkerboard_xalpha", "values": [1.0, 2.0]}]}}),
+}
+
+
+# n3 = 3 puts an element across the laminate break at x3 = 0
+@pytest.mark.parametrize("mesh", [MESH2, MESH324, CellMesh(3, 2, 3)],
+                         ids=["2x2x2", "3x2x4", "3x2x3"])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_FAMILIES))
+def test_closed_form_membrane_matches_the_periodic_scan(name, mesh):
+    W = CLOSED_FORM_FAMILIES[name]
+    spec = spec_at(FB, mesh=mesh, x0=MaterialPoint((0.3, 0.6), 0.0))
+    _, ref, _, _, _ = cell_mod._scan(W, spec, LATERAL_PERIODIC, None, None)
+    sol = membrane_density_periodic(W, spec)
+    minz, b0 = minimize_over_z(W, spec)
+    assert rel_err(sol.value, ref) <= 1e-12 and minz.value == sol.value
+    assert sol.l_star == minz.l_star == 1.0
+    _, b_fiber = W.fiber_infimum(spec.x0, FB)
+    assert b0.tobytes() == b_fiber.tobytes()
+    assert sol.diagnostics["cell_reduction"] == "fiber"
+    assert sol.diagnostics["b0"] == minz.diagnostics["b0"] == b_fiber.tolist()
+    assert minz.field.values.tobytes() == sol.field.values.tobytes()
+    assert minz.field.constraint_residual() < 1e-12
+
+
+def test_convex_fiber_failure_is_a_cell_solve_error(monkeypatch):
+    W = pnorm_density(3.0)
+
+    def no_fiber(x, fbar):
+        raise FiberInfimumError("forced failure", best_value=0.25)
+    monkeypatch.setattr(W, "fiber_infimum", no_fiber)
+    for op in (membrane_density_periodic, minimize_over_z):
+        with pytest.raises(CellSolveError, match="forced failure") as err:
+            op(W, spec_at(FB))
+        assert err.value.best_value == 0.25

@@ -133,9 +133,17 @@ def test_every_default_key_is_type_checked():
     ("gamma", "gamma: {epsilons: [null]}", "'gamma' is invalid: float()"),
     ("tabulate", "tabulate: {node_limit: -1}", "'tabulate.node_limit'"),
     ("check", "check: {names: [[1]]}", "'check.names'"),
+    ("density", "cell: {inner: {max_iter: 0}}", "'cell' is invalid: need max_iter >= 1"),
+    ("density", "cell: {inner: {grad_tol: -1.0}}", "'cell' is invalid: need grad_tol > 0"),
+    ("density", "cell: {inner: {multistart: 0}}", "'cell' is invalid: need multistart >= 1"),
+    ("density", "cell: {inner: {perturb_scale: -0.1}}",
+     "'cell' is invalid: need perturb_scale >= 0"),
+    ("density", "cell: {l_search: {golden_tol: 0.0}}", "'cell' is invalid: need golden_tol > 0"),
+    ("gamma", "gamma: {limit_grad_tol: 0.0}", "'gamma.limit_grad_tol' must be positive"),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
         "table_path-int", "mesh-n1-zero", "epsilons-null", "node_limit-negative",
-        "check-names-list"])
+        "check-names-list", "max_iter-zero", "grad_tol-negative", "multistart-zero",
+        "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     received = []
