@@ -24,7 +24,7 @@ from .integrand import (
     ConstantModulation, TransverseLaminate, PlanarCheckerboard,
     ProductModulation, ExpressionModulation, StoredEnergyDensity,
     pnorm_density, aniso_quadratic_density, two_well_density,
-    composite_density, density_from_config, verify_growth,
+    density_from_config, verify_growth,
 )
 from .field import (
     CellMesh, DiscreteField, EnergyContext, transverse_average, refine_mesh,

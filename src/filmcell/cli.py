@@ -39,8 +39,8 @@ from .field import CellMesh, DiscreteField, affine_values
 from .cell import (CellProblemSpec, CellSolveError, cosserat_density,
                    membrane_density, membrane_density_periodic,
                    minimize_over_z, quasiconvexify)
-from .thinfilm import (SheetMesh, TableDensitySource, ThinFilmProblem,
-                       convergence_study, scaled_energy)
+from .thinfilm import (SheetMesh, ThinFilmProblem, convergence_study,
+                       scaled_energy)
 from .tabulate import (SampleGrid, TableParseError, build_table, export_csv,
                        load_table, query, save_table)
 from .config import (ConfigError, _matrix, build_cell_spec, build_density,
@@ -199,35 +199,17 @@ def cmd_qcx(config, out_dir=None, export=None, argv=None):
 
 
 def cmd_gamma(config, out_dir=None, export=None, argv=None):
-    """Thickness sweep of the scaled energies against the limit model."""
+    """Thickness sweep of the scaled energies against the cell-solve limit."""
     t0 = time.perf_counter()
     resolved = resolve_config(config)
     problem = build_problem(resolved)
-    src_kind = resolved["gamma"]["source"]
-    if src_kind == "cell":
-        source = None
-    elif src_kind == "table":
-        path = resolved["gamma"]["table_path"]
-        if not path:
-            raise ConfigError("config key 'gamma.table_path' is required "
-                              "when gamma.source is 'table'")
-        table = load_table(path)
-        stored = table.provenance.get("integrand_hash")
-        current = problem.W.content_hash()
-        if stored != current:
-            raise ValueError(
-                f"table {path} was built for integrand {stored}, but the "
-                f"configured integrand hashes to {current}")
-        source = TableDensitySource(table)
-    else:
-        raise ConfigError("config key 'gamma.source' must be 'cell' or 'table'")
-    study = convergence_study(problem, source=source)
+    study = convergence_study(problem)
     body = {"command": "gamma", "config": resolved,
             "integrand_hash": problem.W.content_hash(),
-            "source": src_kind, "study": study.to_record(),
-            "gaps": study.gaps, "ok": study.ok and study.converged,
+            "study": study.to_record(), "gaps": study.gaps, "ok": study.ok,
             "warnings": [] if study.converged else [NOT_CONVERGED_WARNING]}
-    code = 1 if not study.ok else 0 if study.converged else 2
+    failed = any("error" in r for r in study.rows)
+    code = 0 if study.ok else 1 if failed else 2
     return _finish("gamma", body, _meta(t0, argv), out_dir, export,
                    study.to_csv, code)
 

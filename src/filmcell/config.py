@@ -55,7 +55,6 @@ DEFAULTS = {
         "modulation": _OPAQUE,
         "growth": _OPAQUE,
         "domain": [0.0, 0.0, 1.0, 1.0],
-        "base": _OPAQUE,
     },
     "cell": {
         "x0": [0.5, 0.5],
@@ -78,8 +77,6 @@ DEFAULTS = {
         "epsilons": [1.0, 0.5, 0.25, 0.125],
         "loads": {"f": None, "g_top": None, "g_bottom": None,
                   "g0_top": None, "g0_bottom": None},
-        "source": "cell",
-        "table_path": None,
         "limit_grad_tol": 1e-10,
     },
     "tabulate": {
@@ -98,9 +95,8 @@ DEFAULTS = {
 }
 
 # Keys that may be null, with the type they take otherwise.
-_NULLABLE = {"gamma.table_path": str, "tabulate.z_axes": list,
-             "tabulate.node_limit": int, "tabulate.resume": str,
-             "check.names": list,
+_NULLABLE = {"tabulate.z_axes": list, "tabulate.node_limit": int,
+             "tabulate.resume": str, "check.names": list,
              **{f"gamma.loads.{k}": list for k in DEFAULTS["gamma"]["loads"]}}
 
 

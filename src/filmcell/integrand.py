@@ -49,7 +49,6 @@ __all__ = [
     "pnorm_density",
     "aniso_quadratic_density",
     "two_well_density",
-    "composite_density",
     "density_from_config",
     "modulation_in_plane_constant",
     "verify_growth",
@@ -531,7 +530,10 @@ class _TwoWell:
 class StoredEnergyDensity:
     """A heterogeneous stored energy density W(x; F) = a(x) * W0(F).
 
-    Scalar entry points (`evaluate`, `stress`, `fiber_infimum`) take a
+    Stacked heterogeneities are one ``ProductModulation``; ``to_config``
+    names the family by its ``name``, which ``density_from_config`` reads.
+
+    Scalar entry points (`evaluate`, `fiber_infimum`) take a
     MaterialPoint (or an (x_alpha, x3) pair) and check the domain.  The
     array entry points used by assembly loops take precomputed modulation
     values and skip checks.  ``moduli`` is the constant 9x9 Hessian of the
@@ -539,11 +541,10 @@ class StoredEnergyDensity:
     p = 2, anisotropic quadratic) and None otherwise.
     """
 
-    def __init__(self, family, modulation=None, growth=None, family_label=None,
+    def __init__(self, family, modulation=None, growth=None,
                  domain=(0.0, 0.0, 1.0, 1.0)):
         self.family = family
         self.modulation = modulation or ConstantModulation(1.0)
-        self.family_label = family_label or family.name
         self.domain = tuple(float(v) for v in domain)
         if growth is None:
             b = self.modulation.bounds()
@@ -643,7 +644,7 @@ class StoredEnergyDensity:
 
     def to_config(self):
         return {
-            "family": self.family_label,
+            "family": self.family.name,
             "params": self.family.params(),
             "modulation": self.modulation.to_config(),
             "growth": {"p": self.growth.p,
@@ -691,14 +692,6 @@ def two_well_density(well_plus, well_minus=None, modulation=None, growth=None,
                                growth, domain=domain)
 
 
-def composite_density(base: StoredEnergyDensity, modulation, growth=None):
-    """User composite: an extra modulation multiplying an existing density."""
-    mod = ProductModulation([modulation, base.modulation])
-    return StoredEnergyDensity(base.family, mod, growth,
-                               family_label="composite:" + base.family_label,
-                               domain=base.domain)
-
-
 def density_from_config(cfg) -> StoredEnergyDensity:
     """Build a density from a plain config mapping (see configs/ for examples)."""
     cfg = dict(cfg)
@@ -726,10 +719,6 @@ def density_from_config(cfg) -> StoredEnergyDensity:
         return two_well_density(np.asarray(params["well_plus"], dtype=float),
                                 None if wm is None else np.asarray(wm, dtype=float),
                                 modulation, growth, domain)
-    if family == "composite":
-        base = density_from_config(cfg["base"])
-        extra = modulation_from_config(cfg.get("modulation", {"kind": "constant"}))
-        return composite_density(base, extra, growth)
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -18,10 +18,11 @@ The candidate limit is the membrane functional
                - 2 Int_omega g0(+) . bbar,
 
 where Q is the transverse-vector effective density from the cell module
-(or a precomputed table) and fbar is the transverse average of f.  The
-convergence study minimizes E_eps for a decreasing thickness list under
-a lateral affine clamp, minimizes J over (v, bbar) with v pinned to the
-same affine datum on the boundary, and reports relative gaps.
+(or, for programmatic callers, a precomputed table) and fbar is the
+transverse average of f.  The convergence study minimizes E_eps for a
+decreasing thickness list under a lateral affine clamp, minimizes J over
+(v, bbar) with v pinned to the same affine datum on the boundary, and
+reports relative gaps.
 
 The sheet omega is the in-plane case of the film's slab mesh; both
 meshes, the affine datum and the pinned parametrization live in
@@ -536,7 +537,8 @@ class ConvergenceReport:
 
     @property
     def ok(self):
-        return all("error" not in r for r in self.rows)
+        """False when a row holds an error or the study did not converge."""
+        return self.converged and all("error" not in r for r in self.rows)
 
     @property
     def converged(self):

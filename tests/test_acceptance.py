@@ -33,11 +33,12 @@ from filmcell.field import (
     free_size,
 )
 from filmcell.integrand import (
+    ConstantModulation,
     MaterialPoint,
     PlanarCheckerboard,
+    ProductModulation,
     TransverseLaminate,
     aniso_quadratic_density,
-    composite_density,
     pnorm_density,
     two_well_density,
 )
@@ -201,7 +202,7 @@ def test_criterion_03_forms_agree_on_convex_families():
         a = solve_membrane(W, spec).value
         b = solve_membrane_periodic(W, spec).value
         gap = abs(a - b)
-        assert gap <= two_tol(a), (W.family_label, x0, gap)
+        assert gap <= two_tol(a), (W.family.name, x0, gap)
         worst = max(worst, gap / (1.0 + abs(a)))
     _report(3, "clamped and periodic membrane forms agree", True,
             f"max_scaled_gap={worst:.2e}")
@@ -216,7 +217,8 @@ def test_criterion_04_minimize_over_z_identity():
     W_TW = two_well_density(well_plus=well)
     W_CHECKER = pnorm_density(
         p=2.0, modulation=PlanarCheckerboard((1.0, 2.0), 0.5))
-    W_COMP = composite_density(W_QUAD, TransverseLaminate((1.0, 3.0), (0.0,)))
+    W_COMP = pnorm_density(2.0, modulation=ProductModulation(
+        [TransverseLaminate((1.0, 3.0), (0.0,)), ConstantModulation(1.0)]))
     mesh = CellMesh(4, 4, 4)
     cases = []
     for W in (W_QUAD, W_CUBIC):
@@ -237,7 +239,7 @@ def test_criterion_04_minimize_over_z_identity():
         direct = solve_membrane(W, spec).value
         joint, _ = solve_minz(W, replace(spec, z=np.zeros(3)))
         gap = abs(joint.value - direct)
-        assert gap <= two_tol(direct), (W.family_label, gap)
+        assert gap <= two_tol(direct), (W.family.name, gap)
         worst = max(worst, gap / (1.0 + abs(direct)))
     _report(4, "minimizing the transverse vector recovers the membrane",
             True, f"max_scaled_gap={worst:.2e}")
@@ -269,7 +271,7 @@ def test_criterion_06_convexity_structure():
         vp = solve_cosserat(W, replace(spec, z=zp)).value
         v0 = solve_cosserat(W, replace(spec, z=0.5 * (zm + zp))).value
         excess = v0 - 0.5 * (vm + vp)
-        assert excess <= two_tol(v0), (W.family_label, i, excess)
+        assert excess <= two_tol(v0), (W.family.name, i, excess)
         worst_z = max(worst_z, excess / (1.0 + abs(v0)))
 
     ffam = [W_QUAD] * 8 + [W_ANISO] * 4 + [W_LAM] * 4 + [W_TW] * 4
@@ -294,7 +296,7 @@ def test_criterion_06_convexity_structure():
         vp = solve_membrane(W, replace(spec, fbar=fp)).value
         v0 = solve_membrane(W, replace(spec, fbar=0.5 * (fm + fp))).value
         excess = v0 - 0.5 * (vm + vp)
-        assert excess <= two_tol(v0), (W.family_label, i, excess)
+        assert excess <= two_tol(v0), (W.family.name, i, excess)
         worst_f = max(worst_f, excess / (1.0 + abs(v0)))
     _report(6, "transverse convexity and rank-one midpoint inequality",
             True, f"worst_z={worst_z:.2e} worst_rank1={worst_f:.2e}")
@@ -352,7 +354,7 @@ def test_criterion_08_derivatives_match_differences():
             S = W.energy_stress_array(modv, F)[1]
             G = fd_stress(W, pt, F)
             err = float(np.max(np.abs(S - G))) / (1.0 + float(np.max(np.abs(G))))
-            assert err <= 1e-6, (W.family_label, err)
+            assert err <= 1e-6, (W.family.name, err)
             worst = max(worst, err)
             checked += 1
             n += 1
@@ -375,7 +377,7 @@ def test_criterion_08_derivatives_match_differences():
             vm[k] -= h
             fd = (ctx.value(vp) - ctx.value(vm)) / (2 * h)
             err = abs(red[k] - fd) / max(1.0, abs(fd))
-            assert err <= 1e-6, (W.family_label, mesh.boundary_mode, k, err)
+            assert err <= 1e-6, (W.family.name, mesh.boundary_mode, k, err)
             worst = max(worst, err)
             checked += 1
     ok = checked == 100

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
                                 MaterialPoint, PlanarCheckerboard,
                                 ProductModulation, TransverseLaminate,
-                                aniso_quadratic_density, composite_density,
+                                aniso_quadratic_density,
                                 density_from_config, frobenius, join,
                                 modulation_in_plane_constant, pnorm_density,
                                 two_well_density, verify_growth)
@@ -182,15 +182,6 @@ def test_in_plane_constant_detector(cfg, const):
     assert modulation_in_plane_constant(cfg) is const
 
 
-def test_composite_density_stacks_modulations():
-    base = pnorm_density(2.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
-    W = composite_density(base, ConstantModulation(2.0))
-    assert W.family_label.startswith("composite:")
-    pt = MaterialPoint((0.5, 0.5), 0.5)
-    assert W.evaluate(pt, np.eye(3)) == pytest.approx(2.0 * 3.0 * 3.0,
-                                                      rel=1e-12)
-
-
 # -- domain and growth -------------------------------------------------------
 
 def test_domain_checked():
@@ -265,6 +256,16 @@ def test_verify_growth_deterministic():
     {"family": "pnorm",
      "modulation": {"kind": "laminate_x3", "levels": [1.0, 3.0],
                     "breaks": [0.0]}},
+    {"family": "aniso_quadratic", "params": {"entry_weights": np.ones((3, 3))},
+     "modulation": {"kind": "product", "factors": [
+         {"kind": "laminate_x3", "levels": [1.0, 3.0], "breaks": [0.0]},
+         {"kind": "constant", "value": 2.0}]}},
+    {"family": "pnorm",
+     "modulation": {"kind": "checkerboard_xalpha", "values": [1.0, 2.5],
+                    "cell": 0.25, "origin": [0.1, 0.0]}},
+    {"family": "pnorm",
+     "modulation": {"kind": "expression", "expression": "1 + 0.5*x3*x3"},
+     "growth": {"p": 2.0, "beta_lower": 1.0, "beta_upper": 1.5}},
 ])
 def test_config_round_trip(cfg):
     W = density_from_config(cfg)

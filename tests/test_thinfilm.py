@@ -317,6 +317,19 @@ def test_convergence_study_keeps_error_rows(tmp_path, monkeypatch):
     assert lines[2] == "0.5,error,,,"
 
 
+@pytest.mark.parametrize("capped", ["minimize_limit", "_solve_film"])
+def test_a_solve_at_max_iter_makes_the_study_not_ok(monkeypatch, capped):
+    real = getattr(thinfilm, capped)
+
+    def at_max_iter(*args):
+        *out, info = real(*args)
+        return (*out, dict(info, status="max_iter"))
+    monkeypatch.setattr(thinfilm, capped, at_max_iter)
+    study = convergence_study(quad_problem(), source=_SmoothSource())
+    assert all("error" not in r for r in study.rows)
+    assert not study.converged and not study.ok
+
+
 class _SmoothSource:
     """Q = a(x) (|F|^2 + |z|^2) + 0.1 |F|^4 with its exact derivatives."""
 
