@@ -18,7 +18,8 @@ Q' x (-1, 1), all at a frozen in-plane material point x0:
 
 On top of these sit the 3D quasiconvexification on the unit cube and
 the minimization over the transverse vector producing the optimal
-Cosserat vector b0.
+Cosserat vector b0; ``cosserat_offset_grads`` differentiates a solved
+Cosserat cell in Fbar and z, and ``CellSolution.converged`` is its verdict.
 
 For convex W the periodic membrane forms are one fiber solve and one
 energy evaluation (``_fiber_cell``).  Every other cell problem scans the
@@ -59,15 +60,15 @@ from .field import (
     LATERAL_ZERO, LATERAL_PERIODIC, FULLY_PERIODIC,
     pack, unpack, affine_values, inject, kinematic_operator, refine_mesh,
 )
-from .solvers import SolverConfig, multistart_minimize, golden_section
+from .solvers import SolverConfig, converged, multistart_minimize, golden_section
 # Unused here; kept importable because ``perfbench/tracer.py`` patches it.
 from .solvers import minimize_lbfgs  # noqa: F401
 
 __all__ = [
     "LSearchConfig", "InnerConfig", "CellProblemSpec", "CellSolution",
     "CellSolveError", "membrane_density", "membrane_density_periodic",
-    "cosserat_density", "minimize_over_z", "quasiconvexify",
-    "refinement_ladder",
+    "cosserat_density", "cosserat_offset_grads", "minimize_over_z",
+    "quasiconvexify", "refinement_ladder",
 ]
 
 L_FLAT_REL = 1e-9          # L-profile variation treated as flat
@@ -178,6 +179,11 @@ class CellSolution:
     @property
     def warnings(self):
         return self.diagnostics.get("warnings", [])
+
+    @property
+    def converged(self) -> bool:
+        """``solvers.converged`` on the winning inner descent, if any."""
+        return converged(self.diagnostics.get("inner", self.diagnostics).get("status"))
 
     def to_record(self):
         return {
@@ -497,6 +503,22 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
                              best_value=value, diagnostics=diag)
     return CellSolution(float(value), l_star, field, diag,
                         _spec_hash(W, spec, "cosserat"))
+
+
+def cosserat_offset_grads(W: StoredEnergyDensity, spec: CellProblemSpec,
+                          sol: CellSolution):
+    """(d/dFbar, d/dz) of the Cosserat density ``sol = cosserat_density(W, spec)``.
+
+    Envelope rule: the offset gradients of the cell energy at the field
+    with its lift (x3 / L) z stripped, one gradient evaluation.  For
+    nonconvex W they belong to the raw minimizer, the value may not.
+    """
+    mesh, z, L = sol.field.mesh, spec.z, float(sol.l_star)
+    x3 = mesh.node_coords()[2]
+    psi = sol.field.values - x3[None, None, :, None] * (z / L)[None, None, None, :]
+    ctx = EnergyContext(W, mesh, L, 0.5, "frozen", spec.x0, spec.fbar, z)
+    _, _, dF, dz = ctx.value_and_grad(psi, offset_grads=True)
+    return dF, dz
 
 
 def _joint_scan(W, spec):

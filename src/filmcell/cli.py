@@ -114,10 +114,9 @@ def _meta(t0, argv):
 
 def _solution_body(resolved, W, sol, **extra):
     """Report body of a cell command; ``not-converged`` joins the warnings
-    when the winning inner descent ran out of iterations."""
-    diag = sol.diagnostics
+    unless ``sol.converged``."""
     warnings = list(sol.warnings)
-    if diag.get("inner", diag).get("status") == "max_iter":
+    if not sol.converged:
         warnings.append(NOT_CONVERGED_WARNING)
     body = {"config": resolved,
             "integrand_hash": W.content_hash(),

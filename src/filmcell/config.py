@@ -54,7 +54,6 @@ DEFAULTS = {
         "params": _OPAQUE,
         "modulation": _OPAQUE,
         "growth": _OPAQUE,
-        "domain": [0.0, 0.0, 1.0, 1.0],
     },
     "cell": {
         "x0": [0.5, 0.5],
@@ -183,15 +182,13 @@ def build_density(resolved: dict):
 
 def build_cell_spec(resolved: dict, with_z=False) -> CellProblemSpec:
     cc = resolved["cell"]
-    ls, ic, x0 = cc["l_search"], cc["inner"], cc["x0"]
-    if len(x0) != 2:
-        raise ConfigError("config key 'cell.x0' must be a pair [x1, x2]")
+    ls, ic = cc["l_search"], cc["inner"]
     fbar = _matrix(cc["fbar"], (3, 2), "cell.fbar")
     z = _matrix(cc["z"], (3,), "cell.z") if with_z else None
     try:
         return CellProblemSpec(
             fbar=fbar,
-            x0=MaterialPoint((float(x0[0]), float(x0[1])), float(cc["x3"])),
+            x0=MaterialPoint(cc["x0"], cc["x3"]),
             z=z, mesh=CellMesh(**cc["mesh"]),
             l_search=LSearchConfig(
                 l_min=float(ls["l_min"]), l_max=float(ls["l_max"]),
@@ -249,7 +246,6 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
             loads=build_loads(resolved),
             epsilons=tuple(float(e) for e in gc["epsilons"]),
             n3=gc["n3"],
-            inner=cell_spec.inner,
             limit_inner=SolverConfig(grad_tol=float(gc["limit_grad_tol"])),
             cell_template=cell_spec)
     except (TypeError, ValueError) as exc:

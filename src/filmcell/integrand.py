@@ -17,6 +17,9 @@ is nominal: a distance-squared well vanishes at a nonzero matrix, so no
 positive constant works in an exact ball around the wells.  The sampling
 based ``verify_growth`` check is the operative contract.
 
+A density has no mid-surface domain of its own: a ``MaterialPoint``
+bounds x3 to [-1, 1], and where x_alpha ranges is the film's sheet.
+
 Array conventions: deformation gradients are arrays of shape (..., 3, 3)
 whose first two columns are the in-plane derivatives and whose third
 column is the (scaled) transverse derivative.  ``join`` assembles such a
@@ -57,7 +60,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Material point outside the declared mid-surface domain or |x3| > 1."""
+    """Material point with |x3| > 1, outside the rescaled slab."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ class GrowthSpec:
 
 @dataclass(frozen=True)
 class MaterialPoint:
-    """A point (x_alpha, x3) of the rescaled slab, x3 in [-1, 1]."""
+    """A point (x_alpha, x3) of the rescaled slab; |x3| > 1 is a DomainError."""
 
     x_alpha: tuple
     x3: float = 0.0
@@ -149,16 +152,11 @@ class MaterialPoint:
     def __post_init__(self):
         xa = tuple(float(v) for v in self.x_alpha)
         if len(xa) != 2:
-            raise ValueError("x_alpha must have two components")
+            raise ValueError(f"x_alpha must have two components, got {xa}")
         object.__setattr__(self, "x_alpha", xa)
         object.__setattr__(self, "x3", float(self.x3))
-
-
-def _as_point(x):
-    if isinstance(x, MaterialPoint):
-        return x
-    xa, x3 = x
-    return MaterialPoint(tuple(np.asarray(xa, dtype=float)), float(x3))
+        if not -1.0 - 1e-12 <= self.x3 <= 1.0 + 1e-12:
+            raise DomainError(f"x3 = {self.x3} outside [-1, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +532,16 @@ class StoredEnergyDensity:
     names the family by its ``name``, which ``density_from_config`` reads.
 
     Scalar entry points (`evaluate`, `fiber_infimum`) take a
-    MaterialPoint (or an (x_alpha, x3) pair) and check the domain.  The
-    array entry points used by assembly loops take precomputed modulation
-    values and skip checks.  ``moduli`` is the constant 9x9 Hessian of the
+    MaterialPoint (or an (x_alpha, x3) pair), which bounds x3 itself.
+    The array entry points used by assembly loops take precomputed
+    modulation values.  ``moduli`` is the constant 9x9 Hessian of the
     base family in row-major vec(F) for quadratic families (p-norm with
     p = 2, anisotropic quadratic) and None otherwise.
     """
 
-    def __init__(self, family, modulation=None, growth=None,
-                 domain=(0.0, 0.0, 1.0, 1.0)):
+    def __init__(self, family, modulation=None, growth=None):
         self.family = family
         self.modulation = modulation or ConstantModulation(1.0)
-        self.domain = tuple(float(v) for v in domain)
         if growth is None:
             b = self.modulation.bounds()
             if b is None:
@@ -560,18 +556,8 @@ class StoredEnergyDensity:
 
     # -- scalar interface ---------------------------------------------------
 
-    def _check_domain(self, pt: MaterialPoint):
-        ax, ay, bx, by = self.domain
-        x1, x2 = pt.x_alpha
-        eps = 1e-12
-        if not (-1.0 - eps <= pt.x3 <= 1.0 + eps):
-            raise DomainError(f"x3 = {pt.x3} outside [-1, 1]")
-        if not (ax - eps <= x1 <= bx + eps and ay - eps <= x2 <= by + eps):
-            raise DomainError(f"x_alpha = {pt.x_alpha} outside {self.domain}")
-
     def evaluate(self, x, F) -> float:
-        pt = _as_point(x)
-        self._check_domain(pt)
+        pt = x if isinstance(x, MaterialPoint) else MaterialPoint(*x)
         a = self.modulation.value(np.asarray(pt.x_alpha), pt.x3)
         return float(a * self.family.energy(np.asarray(F, dtype=float)))
 
@@ -607,8 +593,7 @@ class StoredEnergyDensity:
 
         Returns (value, z_star).
         """
-        pt = _as_point(x)
-        self._check_domain(pt)
+        pt = x if isinstance(x, MaterialPoint) else MaterialPoint(*x)
         fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
         a = float(self.modulation.value(np.asarray(pt.x_alpha), pt.x3))
         radius = self.growth.coercivity_radius(fbar)
@@ -650,7 +635,6 @@ class StoredEnergyDensity:
             "growth": {"p": self.growth.p,
                        "beta_lower": self.growth.beta_lower,
                        "beta_upper": self.growth.beta_upper},
-            "domain": list(self.domain),
         }
 
     def content_hash(self) -> str:
@@ -669,27 +653,24 @@ class FiberInfimumError(RuntimeError):
 # Constructors
 # ---------------------------------------------------------------------------
 
-def pnorm_density(p=2.0, scale=1.0, modulation=None, growth=None,
-                  domain=(0.0, 0.0, 1.0, 1.0)):
+def pnorm_density(p=2.0, scale=1.0, modulation=None, growth=None):
     """Density a(x) * scale * |F|^p."""
-    return StoredEnergyDensity(_PNorm(p, scale), modulation, growth, domain=domain)
+    return StoredEnergyDensity(_PNorm(p, scale), modulation, growth)
 
 
 def aniso_quadratic_density(cmat=None, entry_weights=None, modulation=None,
-                            growth=None, domain=(0.0, 0.0, 1.0, 1.0)):
+                            growth=None):
     """Density a(x) * 0.5 vec(F).C.vec(F); give either C or per-entry weights."""
     if (cmat is None) == (entry_weights is None):
         raise ValueError("give exactly one of cmat, entry_weights")
     fam = (_AnisoQuadratic(cmat) if cmat is not None
            else _AnisoQuadratic.from_entry_weights(entry_weights))
-    return StoredEnergyDensity(fam, modulation, growth, domain=domain)
+    return StoredEnergyDensity(fam, modulation, growth)
 
 
-def two_well_density(well_plus, well_minus=None, modulation=None, growth=None,
-                     domain=(0.0, 0.0, 1.0, 1.0)):
+def two_well_density(well_plus, well_minus=None, modulation=None, growth=None):
     """Density a(x) * min(|F - A1|^2, |F - A2|^2); default A2 = -A1."""
-    return StoredEnergyDensity(_TwoWell(well_plus, well_minus), modulation,
-                               growth, domain=domain)
+    return StoredEnergyDensity(_TwoWell(well_plus, well_minus), modulation, growth)
 
 
 def density_from_config(cfg) -> StoredEnergyDensity:
@@ -701,24 +682,22 @@ def density_from_config(cfg) -> StoredEnergyDensity:
     if "growth" in cfg:
         gr = cfg["growth"]
         growth = GrowthSpec(gr.get("p", 2.0), gr["beta_lower"], gr["beta_upper"])
-    domain = tuple(cfg.get("domain", (0.0, 0.0, 1.0, 1.0)))
     params = dict(cfg.get("params", {}))
     if family == "pnorm":
         return pnorm_density(params.get("p", 2.0), params.get("scale", 1.0),
-                             modulation, growth, domain)
+                             modulation, growth)
     if family == "aniso_quadratic":
         if "cmat" in params:
             return aniso_quadratic_density(cmat=np.asarray(params["cmat"], dtype=float),
-                                           modulation=modulation, growth=growth,
-                                           domain=domain)
+                                           modulation=modulation, growth=growth)
         return aniso_quadratic_density(entry_weights=np.asarray(
             params.get("entry_weights", np.ones((3, 3))), dtype=float),
-            modulation=modulation, growth=growth, domain=domain)
+            modulation=modulation, growth=growth)
     if family == "two_well":
         wm = params.get("well_minus")
         return two_well_density(np.asarray(params["well_plus"], dtype=float),
                                 None if wm is None else np.asarray(wm, dtype=float),
-                                modulation, growth, domain)
+                                modulation, growth)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -763,14 +742,12 @@ def _halton(n):
 def verify_growth(W: StoredEnergyDensity, n_samples=512, fmax=1e3) -> GrowthReport:
     """Check the growth sandwich on a deterministic quasi-random sample set.
 
-    Samples cover the declared mid-surface domain, the full thickness and
-    gradient magnitudes log-uniform in [1e-3, fmax].  Violations of either
-    bound are collected; the operation reports rather than raises.
+    Samples cover the in-plane unit square (0, 1)^2, the full thickness
+    and gradient magnitudes log-uniform in [1e-3, fmax].  Violations of
+    either bound are collected; the operation reports rather than raises.
     """
     pts = _halton(n_samples)
-    ax, ay, bx, by = W.domain
-    x1 = ax + (bx - ax) * pts[:, 0]
-    x2 = ay + (by - ay) * pts[:, 1]
+    x1, x2 = pts[:, 0], pts[:, 1]
     x3 = -1.0 + 2.0 * pts[:, 2]
     direction = 2.0 * pts[:, 3:12] - 1.0
     norms = np.linalg.norm(direction, axis=1)

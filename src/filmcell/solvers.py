@@ -44,6 +44,7 @@ import numpy as np
 __all__ = [
     "SolverConfig",
     "SolveResult",
+    "converged",
     "minimize_lbfgs",
     "golden_section",
     "multistart_minimize",
@@ -69,6 +70,11 @@ class SolverConfig:
     grad_tol: float = 1e-8
 
 
+def converged(status) -> bool:
+    """The package's one convergence rule: every status but "max_iter"."""
+    return status != "max_iter"
+
+
 @dataclass
 class SolveResult:
     x: np.ndarray
@@ -80,7 +86,7 @@ class SolveResult:
 
     @property
     def converged(self) -> bool:
-        return self.status != "max_iter"
+        return converged(self.status)
 
 
 def _two_loop(grad, s_list, y_list, rho_list):

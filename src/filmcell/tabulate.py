@@ -16,10 +16,10 @@ growth sandwich
 
     beta_lower (|Fbar|^p + |z|^p)  <=  value  <=  beta_upper (|Fbar|^p + |z|^p + 1),
 
-a failing or out-of-sandwich node is marked invalid in the validity mask
-and the build carries on.  The additive split of the sandwich matches
-the joint-argument one exactly at p = 2 (the default families); for
-other exponents it is enforced as stated here.
+a failing, unconverged (``CellSolution.converged``) or out-of-sandwich
+node is marked invalid and the build carries on.  The additive split
+matches the joint-argument one exactly at p = 2 (the default families);
+for other exponents it is enforced as stated here.
 
 Queries interpolate multilinearly over the active axes, are exact at
 nodes, and refuse to extrapolate: outside the bounding box raises
@@ -58,7 +58,7 @@ __all__ = [
 FORMAT_VERSION = 1
 SOLVER_VERSION = 4
 
-# Mask codes: node not yet computed / value usable / solve or sandwich failed.
+# Mask codes: not yet computed / usable / solve, convergence or sandwich failed.
 PENDING, VALID, INVALID = 0, 1, 2
 
 _MATCH_TOL = 1e-9
@@ -202,7 +202,7 @@ def _solve_node(W, grid, kind, template, flat_index):
     except CellSolveError:
         return np.nan, INVALID
     lower, upper = W.growth.sandwich(fbar, z, template.tol)
-    if not lower <= value <= upper:
+    if not (sol.converged and lower <= value <= upper):
         return value, INVALID
     return value, VALID
 

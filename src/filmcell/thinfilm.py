@@ -39,12 +39,14 @@ the context at transverse scale 1/eps and runs its descent.
 
 Density values reach the 2D assembly through a small source interface
 (value plus derivatives w.r.t. the membrane block and the transverse
-vector).  Cost model of the limit descent: one evaluation of J at a new
-descent vector makes one density lookup per sheet quadrature point, and
-a cell-solver source runs a cell solve only for a (position, rounded
-argument) key it has not seen; a vector the descent has already
-evaluated, as a stalled descent's repeated trial points are, costs one
-dict lookup (a FIFO memo of 64 vectors on the objective).
+vector); a cell-solver source takes both from ``cell`` and counts the
+cell solves that did not converge, which a study's verdict reads.  Cost
+model of the limit descent: one evaluation of J at a new descent vector
+makes one density lookup per sheet quadrature point, and a cell-solver
+source runs a cell solve only for a (position, rounded argument) key it
+has not seen; a vector the descent has already evaluated, as a stalled
+descent's repeated trial points are, costs one dict lookup (a FIFO memo
+of 64 vectors on the objective).
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from .field import (
     affine_values, kinematic_operator, pack, pinned_values, trapezoid_weights,
     transverse_average, unpack, value_operator,
 )
-from .solvers import SolverConfig, minimize_lbfgs, multistart_minimize
-from .cell import CellProblemSpec, InnerConfig, cosserat_density
+from .solvers import SolverConfig, converged, minimize_lbfgs, multistart_minimize
+from .cell import CellProblemSpec, cosserat_density, cosserat_offset_grads
 
 __all__ = [
     "SheetMesh", "LoadSystem", "ThinFilmProblem", "ConvergenceReport",
@@ -122,7 +124,8 @@ class LoadSystem:
 
 @dataclass
 class ThinFilmProblem:
-    """Clamped film on omega x (-1, 1) with loads and a thickness list."""
+    """Clamped film on omega x (-1, 1) with loads and a thickness list;
+    ``cell_template.inner`` also budgets the film descents."""
 
     W: StoredEnergyDensity
     omega: SheetMesh
@@ -130,10 +133,10 @@ class ThinFilmProblem:
     loads: LoadSystem = dc_field(default_factory=LoadSystem)
     epsilons: tuple = (1.0, 0.5, 0.25, 0.125)
     n3: int = 8
-    inner: InnerConfig = InnerConfig()
     limit_inner: SolverConfig = dc_field(
         default_factory=lambda: SolverConfig(grad_tol=1e-10))
-    cell_template: CellProblemSpec | None = None
+    cell_template: CellProblemSpec = dc_field(
+        default_factory=lambda: CellProblemSpec(fbar=np.zeros((3, 2))))
 
     def __post_init__(self):
         self.fbar_bc = np.asarray(self.fbar_bc, dtype=float).reshape(3, 2)
@@ -145,6 +148,7 @@ class ThinFilmProblem:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("thicknesses must be strictly decreasing")
         self.epsilons = eps
+        self.film_mesh()                # rejects n3 < 2 before any solve
         self.loads.check_compatibility(self.omega)
 
     def film_mesh(self) -> CellMesh:
@@ -155,9 +159,7 @@ class ThinFilmProblem:
         return affine_values(mesh, self.fbar_bc)
 
     def template_spec(self) -> CellProblemSpec:
-        if self.cell_template is not None:
-            return self.cell_template
-        return CellProblemSpec(fbar=np.zeros((3, 2)), inner=self.inner)
+        return self.cell_template
 
 
 def _nodal_work(mesh, density):
@@ -246,14 +248,14 @@ def _solve_film(problem, film, eps):
         return ctx.value(vec) - float(ell_free @ vec) - ell_pinned
 
     base = film.start
+    inner = problem.cell_template.inner
     starts = [("affine", base)]
     if not problem.W.is_convex:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([problem.inner.seed, 11]))
-        scale = problem.inner.perturb_scale * (1.0 + float(np.linalg.norm(problem.fbar_bc)))
-        for r in range(max(problem.inner.multistart - 1, 0)):
+        rng = np.random.default_rng(np.random.SeedSequence([inner.seed, 11]))
+        scale = inner.perturb_scale * (1.0 + float(np.linalg.norm(problem.fbar_bc)))
+        for r in range(max(inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
-    best, info = multistart_minimize(fun, starts, problem.inner.solver(),
+    best, info = multistart_minimize(fun, starts, inner.solver(),
                                      newton=ctx.newton, value=value)
     field = DiscreteField(film.mesh, unpack(best.x, film.mesh, film.datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
@@ -290,20 +292,17 @@ def _rounded_values(fbar, z):
 class CellDensitySource:
     """Transverse-vector effective density evaluated by nested cell solves.
 
-    ``evaluate`` returns (value, d/dFbar, d/dz); the derivatives are the
-    offset gradients of the cell energy at its minimizer, which is the
-    envelope differentiation rule (the constraint reparametrization does
-    not involve the offsets).  Arguments are rounded to 12 decimals and
-    solved at the rounded point, so the cached value and gradients stay
-    mutually consistent while float jitter across quadrature points of a
-    spatially uniform limit field collapses to one cell solve per
+    ``evaluate`` returns (value, d/dFbar, d/dz) from ``cosserat_density``
+    and ``cosserat_offset_grads``.  Arguments are rounded to 12 decimals
+    and solved at the rounded point, so the cached value and gradients
+    stay mutually consistent while float jitter across quadrature points
+    of a spatially uniform limit field collapses to one cell solve per
     evaluation.  Heterogeneous integrands key the cache by x_alpha unless
     the modulation is constant in-plane.  A cache hit builds no array:
-    the key is packed from the rounded Python floats.
-
-    For nonconvex integrands the reported value may come from the
-    periodic relaxation pass while the gradients are those of the raw
-    minimizer; limit descents over such sources are heuristic.
+    the key is packed from the rounded Python floats.  ``lookups``,
+    ``solves`` and ``not_converged`` count calls, cell solves and cell
+    solves whose winning descent did not converge.  For nonconvex
+    integrands limit descents over such sources are heuristic.
     """
 
     def __init__(self, W: StoredEnergyDensity, template: CellProblemSpec | None = None):
@@ -312,7 +311,7 @@ class CellDensitySource:
         self.x_const = modulation_in_plane_constant(W.modulation.to_config())
         self.cache: dict = {}
         self._trail: dict = {}
-        self.solves = 0
+        self.lookups = self.solves = self.not_converged = 0
 
     def _spec_for(self, x_key, fbar, z, x0):
         """Continuation: warm field and a narrowed L window per point."""
@@ -330,6 +329,7 @@ class CellDensitySource:
         return replace(spec, l_search=narrowed), prev["field"]
 
     def evaluate(self, x_alpha, fbar, z):
+        self.lookups += 1
         # Rounding always, not just for the key: the solve happens at the
         # rounded point, so value and gradients belong together.
         values = _rounded_values(fbar, z)
@@ -342,22 +342,12 @@ class CellDensitySource:
         self.solves += 1
         point = np.array(values)
         fbar, z = point[:6].reshape(3, 2), point[6:]
-        x0 = MaterialPoint((float(x_alpha[0]), float(x_alpha[1])), 0.0)
-        spec, warm = self._spec_for(x_key, fbar, z, x0)
+        spec, warm = self._spec_for(x_key, fbar, z, MaterialPoint(x_alpha))
         sol = cosserat_density(self.W, spec, warm_start=warm)
+        self.not_converged += not sol.converged
         self._trail[x_key] = {"fbar": fbar, "z": z, "l_star": sol.l_star,
                               "field": sol.field}
-        # Offset derivatives at the minimizer: strip the affine ramp to
-        # recover the solver variable, then one gradient evaluation.
-        mesh = sol.field.mesh
-        L = float(sol.l_star)
-        x3 = mesh.node_coords()[2]
-        psi = sol.field.values - x3[None, None, :, None] * (z / L)[None, None, None, :]
-        ctx = EnergyContext(self.W, mesh, transverse_scale=L, prefactor=0.5,
-                            x_mode="frozen", x0=x0, inplane_offset=fbar,
-                            transverse_offset=z)
-        _, _, dF, dz = ctx.value_and_grad(psi, offset_grads=True)
-        out = (float(sol.value), dF, dz)
+        out = (float(sol.value),) + cosserat_offset_grads(self.W, spec, sol)
         self.cache[key] = out
         return out
 
@@ -542,9 +532,11 @@ class ConvergenceReport:
 
     @property
     def converged(self):
-        """False when the limit or a film solve ran out of iterations."""
-        return all(info.get("status") != "max_iter"
-                   for info in [self.limit_info] + self.rows)
+        """False when the limit, a film solve or a cell solve of the limit's
+        source did not converge (``solvers.converged``)."""
+        return (not self.limit_info.get("cell_not_converged")
+                and all(converged(info.get("status"))
+                        for info in [self.limit_info] + self.rows))
 
     def to_record(self):
         return {
@@ -596,6 +588,9 @@ def convergence_study(problem: ThinFilmProblem, source=None) -> ConvergenceRepor
     limit_energy, _, bbar_limit, limit_info = minimize_limit(
         source, sheet, problem.loads, problem.fbar_bc, problem.limit_inner)
     limit_info = dict(limit_info, seconds=time.perf_counter() - t0)
+    if isinstance(source, CellDensitySource):
+        limit_info.update(cell_lookups=source.lookups, cell_solves=source.solves,
+                          cell_not_converged=source.not_converged)
 
     try:
         film = _FilmAssembly(problem, problem.film_mesh())

@@ -423,7 +423,8 @@ def test_criterion_10_scaled_energies_reach_limit():
     problem = ThinFilmProblem(W=W_LAM, omega=SheetMesh(8, 8),
                               fbar_bc=fbar_bc,
                               epsilons=(1.0, 0.5, 0.25, 0.125), n3=8,
-                              inner=SINGLE)
+                              cell_template=CellProblemSpec(
+                                  fbar=np.zeros((3, 2)), inner=SINGLE))
     cell_spec = CellProblemSpec(fbar=fbar_bc, mesh=CellMesh(8, 8, 8),
                                 inner=SINGLE)
     wbar = solve_membrane(W_LAM, cell_spec).value

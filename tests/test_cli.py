@@ -9,6 +9,8 @@ import pytest
 import yaml
 
 import filmcell.cli as cli
+import filmcell.tabulate as tabulate
+import filmcell.thinfilm as thinfilm
 
 from filmcell.cli import (
     cmd_check,
@@ -142,11 +144,15 @@ def test_every_default_key_is_type_checked():
      "'cell' is invalid: need perturb_scale >= 0"),
     ("density", "cell: {l_search: {golden_tol: 0.0}}", "'cell' is invalid: need golden_tol > 0"),
     ("gamma", "gamma: {limit_grad_tol: 0.0}", "'gamma.limit_grad_tol' must be positive"),
+    ("gamma", "gamma: {n3: 1}", "'gamma' is invalid: need n3 >= 2"),
+    ("density", "integrand: {domain: [0.0, 0.0, 1.0, 1.0]}",
+     "unknown config key 'integrand.domain'"),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
         "source-table", "table_path-str", "family-composite", "mesh-n1-zero",
         "epsilons-null", "node_limit-negative",
         "check-names-list", "max_iter-zero", "grad_tol-negative", "multistart-zero",
-        "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero"])
+        "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero",
+        "gamma-n3-one", "integrand-domain"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     received = []
@@ -163,6 +169,30 @@ def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error: ") and key in err
     assert "Traceback" not in err
     assert received == []
+
+
+@pytest.mark.parametrize("command, cell, code", [
+    ("density", "{x3: 2.0}", 1),
+    ("density", "{x3: 2.0, form: periodic}", 1),
+    ("cosserat", "{x3: 2.0}", 1),
+    ("qcx", "{x3: 2.0}", 1),
+    ("tabulate", "{x3: 2.0}", 1),
+    ("density", "{x0: [1.5, 0.5], form: periodic}", 0),
+    ("qcx", "{x0: [1.5, 0.5]}", 0),
+], ids=["density-x3", "density-periodic-x3", "cosserat-x3", "qcx-x3", "tabulate-x3",
+        "density-periodic-x0", "qcx-x0"])
+def test_every_command_bounds_x3_and_no_command_bounds_x_alpha(
+        tmp_path, capsys, command, cell, code):
+    # |x3| <= 1 is a property of the material point; the integrand has no
+    # in-plane domain, so x0 outside the unit square is a valid point.
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"cell: {cell[:-1]}, mesh: {{n1: 2, n2: 2, n3: 2}}}}\n")
+    assert main([command, "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: ") and "x3 = 2.0 outside [-1, 1]" in err
+    else:
+        assert err == ""
 
 
 def test_load_config_errors(tmp_path):
@@ -340,6 +370,43 @@ def test_cmd_gamma_flags_an_unconverged_limit(monkeypatch):
     assert body["ok"] is False
     assert "not-converged" in body["warnings"]
     assert code == 2
+
+
+def _cell_solves_at_max_iter(monkeypatch, module, hit=lambda spec: True):
+    """Make ``module.cosserat_density`` report a winner that ran out of
+    iterations at every spec for which ``hit(spec)`` holds."""
+    real = module.cosserat_density
+
+    def capped(W, spec, *args, **kwargs):
+        sol = real(W, spec, *args, **kwargs)
+        if hit(spec):
+            sol.diagnostics["inner"]["status"] = "max_iter"
+        return sol
+    monkeypatch.setattr(module, "cosserat_density", capped)
+
+
+def test_cmd_gamma_flags_an_unconverged_cell_solve_of_the_limit(monkeypatch):
+    _cell_solves_at_max_iter(monkeypatch, thinfilm)
+    code, report = cmd_gamma(LOADED_GAMMA)
+    body = report["body"]
+    info = body["study"]["limit_info"]
+    assert info["cell_not_converged"] == info["cell_solves"] > 0
+    assert info["cell_lookups"] > info["cell_solves"]
+    assert body["ok"] is False
+    assert body["warnings"] == ["not-converged"]
+    assert code == 2
+
+
+def test_cmd_tabulate_marks_an_unconverged_node_invalid(tmp_path, monkeypatch):
+    _cell_solves_at_max_iter(monkeypatch, tabulate, hit=lambda spec: spec.z[2] > 0)
+    path = tmp_path / "cfg.yaml"
+    path.write_text("cell: {mesh: {n1: 2, n2: 2, n3: 2}}\n")
+    assert main(["tabulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    body = json.loads((tmp_path / "tabulate.json").read_text())["body"]
+    assert body["summary"]["invalid"] == 3
+    table = tabulate.load_table(tmp_path / "density_table.fct")
+    # the default grid: f00 in {-1, 0, 1} times z2 in {-1, 0, 1}
+    assert table.mask.reshape(3, 3).tolist() == [[1, 1, 2]] * 3
 
 
 def test_cmd_tabulate_writes_a_complete_table(tmp_path):

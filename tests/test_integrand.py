@@ -185,9 +185,7 @@ def test_in_plane_constant_detector(cfg, const):
 # -- domain and growth -------------------------------------------------------
 
 def test_domain_checked():
-    W = pnorm_density(2.0, domain=(0.0, 0.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        W.evaluate(MaterialPoint((1.5, 0.5), 0.0), np.eye(3))
+    W = pnorm_density(2.0)
     with pytest.raises(DomainError):
         W.evaluate(MaterialPoint((0.5, 0.5), 2.0), np.eye(3))
 

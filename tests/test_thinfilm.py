@@ -330,6 +330,18 @@ def test_a_solve_at_max_iter_makes_the_study_not_ok(monkeypatch, capped):
     assert not study.converged and not study.ok
 
 
+def test_the_cell_source_counts_reach_limit_info():
+    problem = quad_problem()
+    source = CellDensitySource(problem.W, problem.template_spec())
+    info = convergence_study(problem, source=source).limit_info
+    assert (info["cell_lookups"], info["cell_solves"], info["cell_not_converged"]) == (
+        source.lookups, source.solves, 0)
+    assert source.lookups > source.solves > 0
+    # a source without cell solves (a table, or a closed form) reports none
+    info = convergence_study(problem, source=_SmoothSource()).limit_info
+    assert not {"cell_lookups", "cell_solves", "cell_not_converged"} & set(info)
+
+
 class _SmoothSource:
     """Q = a(x) (|F|^2 + |z|^2) + 0.1 |F|^4 with its exact derivatives."""
 
