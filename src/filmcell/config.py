@@ -7,10 +7,13 @@ so typos surface as diagnostics instead of silently running defaults.
 The merge also checks each value's type, once: it must have the type of
 its default, except that a number key also takes an integer (a boolean
 is never a number), and the keys listed in ``_NULLABLE`` take null or
-the type listed there.  Shapes and cross-key rules are checked where
-the objects are built.  The fully resolved mapping (every defaulted
-field filled in, user values kept as given) is what reports embed as
-provenance.
+the type listed there.  The integrand's ``params``, ``modulation`` and
+``growth`` are opaque mappings: each holds its constructor's keywords,
+and the constructor refuses an unknown key.  Shapes and cross-key rules
+are checked where the objects are built, and a bad value met there is a
+ConfigError that names its block.  The fully resolved mapping (every
+defaulted field filled in, user values kept as given) is what reports
+embed as provenance.
 
 Loads and heterogeneities may be given as restricted closed-form
 expression strings in (x1, x2, x3); surface loads are evaluated on
@@ -20,6 +23,7 @@ their face (x3 = +1 on top, -1 on bottom).
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 
 import numpy as np
 import yaml
@@ -43,8 +47,9 @@ class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending key."""
 
 
-# Opaque subtrees are validated by their consumers (families differ in
-# their parameter sets), so the merge accepts arbitrary keys below them.
+# Opaque subtrees are mappings of constructor keywords (families and
+# modulation kinds differ in theirs): the merge checks only that they are
+# mappings, and the constructors refuse unknown keys.
 _OPAQUE = object()
 
 DEFAULTS = {
@@ -100,13 +105,13 @@ _NULLABLE = {"tabulate.z_axes": list, "tabulate.node_limit": int,
 
 
 def _merge(defaults, user, path):
-    if defaults is _OPAQUE:
-        return copy.deepcopy(user)
-    if isinstance(defaults, dict):
+    if isinstance(defaults, dict) or defaults is _OPAQUE:
         if user is None:
             user = {}
         if not isinstance(user, dict):
             raise ConfigError(f"config key '{path}' must be a mapping")
+        if defaults is _OPAQUE:
+            return copy.deepcopy(user)
         out = {}
         for key, dval in defaults.items():
             sub = f"{path}.{key}" if path else key
@@ -171,13 +176,20 @@ def _matrix(val, shape, path):
             f"config key '{path}' must be a {shape} array: {exc}") from exc
 
 
-def build_density(resolved: dict):
+@contextmanager
+def _block(name):
+    """Report a bad value met while building block ``name`` as a ConfigError."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config block '{name}' is invalid: {exc}") from exc
+
+
+def build_density(resolved: dict):
+    with _block("integrand"):
         return density_from_config(resolved["integrand"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config block 'integrand' is invalid: {exc}") from exc
 
 
 def build_cell_spec(resolved: dict, with_z=False) -> CellProblemSpec:
@@ -185,7 +197,7 @@ def build_cell_spec(resolved: dict, with_z=False) -> CellProblemSpec:
     ls, ic = cc["l_search"], cc["inner"]
     fbar = _matrix(cc["fbar"], (3, 2), "cell.fbar")
     z = _matrix(cc["z"], (3,), "cell.z") if with_z else None
-    try:
+    with _block("cell"):
         return CellProblemSpec(
             fbar=fbar,
             x0=MaterialPoint(cc["x0"], cc["x3"]),
@@ -200,8 +212,6 @@ def build_cell_spec(resolved: dict, with_z=False) -> CellProblemSpec:
                 perturb_scale=float(ic["perturb_scale"]),
                 seed=resolved["seed"] % (2 ** 32)),
             tol=float(cc["tol"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config block 'cell' is invalid: {exc}") from exc
 
 
 def _load_entry(val, path, face_x3=None):
@@ -237,7 +247,7 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
         raise ConfigError("config key 'gamma.epsilons' must be a non-empty list")
     if not gc["limit_grad_tol"] > 0.0:
         raise ConfigError("config key 'gamma.limit_grad_tol' must be positive")
-    try:
+    with _block("gamma"):
         return ThinFilmProblem(
             W=build_density(resolved),
             omega=SheetMesh(oc["n1"], oc["n2"], origin=oc["origin"],
@@ -248,21 +258,13 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
             n3=gc["n3"],
             limit_inner=SolverConfig(grad_tol=float(gc["limit_grad_tol"])),
             cell_template=cell_spec)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config block 'gamma' is invalid: {exc}") from exc
 
 
 def build_grid(resolved: dict) -> SampleGrid:
     tc = resolved["tabulate"]
-    try:
+    with _block("tabulate"):
         return SampleGrid(
             x_points=tuple(tuple(p) for p in tc["x_points"]),
             f_axes=tuple(tuple(a) for a in tc["f_axes"]),
             z_axes=(None if tc["z_axes"] is None
                     else tuple(tuple(a) for a in tc["z_axes"])))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"config block 'tabulate' is invalid: {exc}") from exc

@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -53,7 +54,6 @@ __all__ = [
     "aniso_quadratic_density",
     "two_well_density",
     "density_from_config",
-    "modulation_in_plane_constant",
     "verify_growth",
     "GrowthReport",
 ]
@@ -166,6 +166,9 @@ class MaterialPoint:
 class ConstantModulation:
     """Spatially constant positive factor."""
 
+    kind = "constant"
+    in_plane_constant = True
+
     def __init__(self, value=1.0):
         if value <= 0:
             raise ValueError("modulation must be positive")
@@ -179,7 +182,7 @@ class ConstantModulation:
         return self.value_const, self.value_const
 
     def to_config(self):
-        return {"kind": "constant", "value": self.value_const}
+        return {"kind": self.kind, "value": self.value_const}
 
 
 class TransverseLaminate:
@@ -191,6 +194,9 @@ class TransverseLaminate:
     be aligned with mesh faces by the caller; the quadrature rules used
     here never place points exactly on a threshold.
     """
+
+    kind = "laminate_x3"
+    in_plane_constant = True
 
     def __init__(self, levels=(1.0, 3.0), breaks=(0.0,)):
         levels = tuple(float(v) for v in levels)
@@ -213,7 +219,7 @@ class TransverseLaminate:
         return min(self.levels), max(self.levels)
 
     def to_config(self):
-        return {"kind": "laminate_x3", "levels": list(self.levels),
+        return {"kind": self.kind, "levels": list(self.levels),
                 "breaks": list(self.breaks)}
 
 
@@ -223,6 +229,9 @@ class PlanarCheckerboard:
     Tiles of side ``cell`` anchored at ``origin``; the value is picked by
     the parity of the tile indices.  Constant in x3.
     """
+
+    kind = "checkerboard_xalpha"
+    in_plane_constant = False
 
     def __init__(self, values=(1.0, 2.0), cell=0.5, origin=(0.0, 0.0)):
         if len(values) != 2 or any(v <= 0 for v in values):
@@ -246,18 +255,21 @@ class PlanarCheckerboard:
         return min(self.values), max(self.values)
 
     def to_config(self):
-        return {"kind": "checkerboard_xalpha", "values": list(self.values),
+        return {"kind": self.kind, "values": list(self.values),
                 "cell": self.cell, "origin": list(self.origin)}
 
 
 class ProductModulation:
     """Pointwise product of modulations (e.g. laminate times checkerboard)."""
 
+    kind = "product"
+
     def __init__(self, factors):
         factors = list(factors)
         if not factors:
             raise ValueError("need at least one factor")
         self.factors = factors
+        self.in_plane_constant = all(f.in_plane_constant for f in factors)
 
     def value(self, x_alpha, x3):
         out = self.factors[0].value(x_alpha, x3)
@@ -276,7 +288,7 @@ class ProductModulation:
         return lo, hi
 
     def to_config(self):
-        return {"kind": "product", "factors": [f.to_config() for f in self.factors]}
+        return {"kind": self.kind, "factors": [f.to_config() for f in self.factors]}
 
 
 class ExpressionModulation:
@@ -288,10 +300,13 @@ class ExpressionModulation:
     modulations must declare their growth constants explicitly.
     """
 
+    kind = "expression"
+
     def __init__(self, expression: str):
         from .expr import compile_expression
         self.expression = str(expression)
         self._fn = compile_expression(self.expression)
+        self.in_plane_constant = re.search(r"\bx[12]\b", self.expression) is None
 
     def value(self, x_alpha, x3):
         xa = np.asarray(x_alpha, dtype=float)
@@ -304,44 +319,28 @@ class ExpressionModulation:
         return None
 
     def to_config(self):
-        return {"kind": "expression", "expression": self.expression}
+        return {"kind": self.kind, "expression": self.expression}
 
 
-def modulation_from_config(cfg) -> object:
-    kind = cfg.get("kind", "constant")
-    if kind == "constant":
-        return ConstantModulation(cfg.get("value", 1.0))
-    if kind == "laminate_x3":
-        return TransverseLaminate(cfg.get("levels", (1.0, 3.0)),
-                                  cfg.get("breaks", (0.0,)))
-    if kind == "checkerboard_xalpha":
-        return PlanarCheckerboard(cfg.get("values", (1.0, 2.0)),
-                                  cfg.get("cell", 0.5),
-                                  cfg.get("origin", (0.0, 0.0)))
-    if kind == "product":
-        return ProductModulation([modulation_from_config(c) for c in cfg["factors"]])
-    if kind == "expression":
-        return ExpressionModulation(cfg["expression"])
-    raise ValueError(f"unknown modulation kind {kind!r}")
+_MODULATIONS = {cls.kind: cls for cls in (
+    ConstantModulation, TransverseLaminate, PlanarCheckerboard,
+    ProductModulation, ExpressionModulation)}
 
 
-def modulation_in_plane_constant(cfg) -> bool:
-    """Whether a modulation config cannot vary with x_alpha.
+def modulation_from_config(cfg):
+    """Build a modulation from ``{kind, **keywords of the kind's class}``.
 
-    Used to collapse caches keyed by the material point: transverse
-    laminates and constants depend on x3 at most, so one in-plane
-    position represents them all.  Expression modulations are scanned
-    for the in-plane variable names.
+    A missing kind is a constant; a product's ``factors`` are configs.
     """
-    kind = cfg.get("kind", "constant")
-    if kind in ("constant", "laminate_x3"):
-        return True
-    if kind == "product":
-        return all(modulation_in_plane_constant(c) for c in cfg["factors"])
-    if kind == "expression":
-        import re
-        return re.search(r"\bx[12]\b", cfg["expression"]) is None
-    return False
+    if not isinstance(cfg, dict):
+        raise TypeError(f"a modulation must be a mapping, got {cfg!r}")
+    rest = dict(cfg)
+    kind = rest.pop("kind", ConstantModulation.kind)
+    if kind not in _MODULATIONS:
+        raise ValueError(f"unknown modulation kind {kind!r}")
+    if kind == ProductModulation.kind and "factors" in rest:
+        rest["factors"] = [modulation_from_config(c) for c in rest["factors"]]
+    return _MODULATIONS[kind](**rest)
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +388,20 @@ _PCOL = np.array([0, 1, 3, 4, 6, 7])
 
 
 class _AnisoQuadratic:
-    """W0(F) = 0.5 * vec(F) . C . vec(F) with C symmetric positive definite."""
+    """W0(F) = 0.5 * vec(F) . C . vec(F) with C symmetric positive definite.
+
+    C is given, or diagonal with one weight per matrix entry (3x3), unit by default.
+    """
 
     name = "aniso_quadratic"
     convex = True
 
-    def __init__(self, cmat):
+    def __init__(self, cmat=None, entry_weights=None):
+        if cmat is not None and entry_weights is not None:
+            raise ValueError("give at most one of cmat, entry_weights")
+        if cmat is None:
+            cmat = np.diag(np.asarray(np.ones(9) if entry_weights is None
+                                      else entry_weights, dtype=float).reshape(9))
         cmat = np.asarray(cmat, dtype=float)
         if cmat.shape != (9, 9):
             raise ValueError("C must be 9x9 acting on row-major vec(F)")
@@ -407,14 +414,6 @@ class _AnisoQuadratic:
         self.moduli = cmat
         self._eig_min = float(eigs[0])
         self._eig_max = float(eigs[-1])
-
-    @classmethod
-    def from_entry_weights(cls, weights):
-        """Diagonal C with one positive weight per matrix entry (3x3 array)."""
-        w = np.asarray(weights, dtype=float).reshape(9)
-        if np.any(w <= 0):
-            raise ValueError("entry weights must be positive")
-        return cls(np.diag(w))
 
     def energy(self, F):
         v = np.asarray(F, dtype=float).reshape(*np.shape(F)[:-2], 9)
@@ -660,12 +659,8 @@ def pnorm_density(p=2.0, scale=1.0, modulation=None, growth=None):
 
 def aniso_quadratic_density(cmat=None, entry_weights=None, modulation=None,
                             growth=None):
-    """Density a(x) * 0.5 vec(F).C.vec(F); give either C or per-entry weights."""
-    if (cmat is None) == (entry_weights is None):
-        raise ValueError("give exactly one of cmat, entry_weights")
-    fam = (_AnisoQuadratic(cmat) if cmat is not None
-           else _AnisoQuadratic.from_entry_weights(entry_weights))
-    return StoredEnergyDensity(fam, modulation, growth)
+    """Density a(x) * 0.5 vec(F).C.vec(F); give C, per-entry weights or neither."""
+    return StoredEnergyDensity(_AnisoQuadratic(cmat, entry_weights), modulation, growth)
 
 
 def two_well_density(well_plus, well_minus=None, modulation=None, growth=None):
@@ -673,32 +668,22 @@ def two_well_density(well_plus, well_minus=None, modulation=None, growth=None):
     return StoredEnergyDensity(_TwoWell(well_plus, well_minus), modulation, growth)
 
 
+_FAMILIES = {cls.name: cls for cls in (_PNorm, _AnisoQuadratic, _TwoWell)}
+
+
 def density_from_config(cfg) -> StoredEnergyDensity:
-    """Build a density from a plain config mapping (see configs/ for examples)."""
-    cfg = dict(cfg)
-    family = cfg.get("family", "pnorm")
-    modulation = modulation_from_config(cfg.get("modulation", {"kind": "constant"}))
-    growth = None
-    if "growth" in cfg:
-        gr = cfg["growth"]
-        growth = GrowthSpec(gr.get("p", 2.0), gr["beta_lower"], gr["beta_upper"])
-    params = dict(cfg.get("params", {}))
-    if family == "pnorm":
-        return pnorm_density(params.get("p", 2.0), params.get("scale", 1.0),
-                             modulation, growth)
-    if family == "aniso_quadratic":
-        if "cmat" in params:
-            return aniso_quadratic_density(cmat=np.asarray(params["cmat"], dtype=float),
-                                           modulation=modulation, growth=growth)
-        return aniso_quadratic_density(entry_weights=np.asarray(
-            params.get("entry_weights", np.ones((3, 3))), dtype=float),
-            modulation=modulation, growth=growth)
-    if family == "two_well":
-        wm = params.get("well_minus")
-        return two_well_density(np.asarray(params["well_plus"], dtype=float),
-                                None if wm is None else np.asarray(wm, dtype=float),
-                                modulation, growth)
-    raise ValueError(f"unknown family {family!r}")
+    """Build a density from ``{family, params, modulation, growth}``.
+
+    ``params`` are the family's constructor keywords and ``growth`` those
+    of ``GrowthSpec``, with p = 2 by default; an unknown key raises.
+    """
+    family = cfg.get("family", _PNorm.name)
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    fam = _FAMILIES[family](**cfg.get("params", {}))
+    growth = GrowthSpec(**{"p": 2.0, **cfg["growth"]}) if "growth" in cfg else None
+    return StoredEnergyDensity(fam, modulation_from_config(cfg.get("modulation", {})),
+                               growth)
 
 
 # ---------------------------------------------------------------------------

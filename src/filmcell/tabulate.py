@@ -73,16 +73,17 @@ class ExtrapolationError(ValueError):
 
 
 def _norm_axis(spec):
-    if spec[0] == "frozen":
+    if len(spec) == 2 and spec[0] == "frozen":
         return ("frozen", float(spec[1]))
-    if spec[0] == "range":
+    if len(spec) == 4 and spec[0] == "range":
         lo, hi, count = float(spec[1]), float(spec[2]), int(spec[3])
         if count < 2:
             raise ValueError("active axes need at least two samples")
         if not lo < hi:
             raise ValueError("axis range needs lo < hi")
         return ("range", lo, hi, count)
-    raise ValueError(f"unknown axis spec kind {spec[0]!r}")
+    raise ValueError(f"unknown axis spec {list(spec)}: give [frozen, v] "
+                     "or [range, lo, hi, count]")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,8 @@ class SampleGrid:
     z_axes: tuple | None = None
 
     def __post_init__(self):
+        if any(len(p) != 2 for p in self.x_points):
+            raise ValueError(f"each x point needs two coordinates, got {self.x_points}")
         pts = tuple((float(p[0]), float(p[1])) for p in self.x_points)
         if not pts:
             raise ValueError("need at least one in-plane sample point")

@@ -57,9 +57,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrand import (
-    MaterialPoint, StoredEnergyDensity, modulation_in_plane_constant,
-)
+from .integrand import MaterialPoint, StoredEnergyDensity, modulation_from_config
 from .field import (
     CellMesh, DiscreteField, EnergyContext, LATERAL_AFFINE, OPEN, SheetMesh,
     affine_values, kinematic_operator, pack, pinned_values, trapezoid_weights,
@@ -298,8 +296,8 @@ class CellDensitySource:
     stay mutually consistent while float jitter across quadrature points
     of a spatially uniform limit field collapses to one cell solve per
     evaluation.  Heterogeneous integrands key the cache by x_alpha unless
-    the modulation is constant in-plane.  A cache hit builds no array:
-    the key is packed from the rounded Python floats.  ``lookups``,
+    ``W.modulation.in_plane_constant`` holds.  A cache hit builds no
+    array: the key is packed from the rounded Python floats.  ``lookups``,
     ``solves`` and ``not_converged`` count calls, cell solves and cell
     solves whose winning descent did not converge.  For nonconvex
     integrands limit descents over such sources are heuristic.
@@ -308,7 +306,7 @@ class CellDensitySource:
     def __init__(self, W: StoredEnergyDensity, template: CellProblemSpec | None = None):
         self.W = W
         self.template = template or CellProblemSpec(fbar=np.zeros((3, 2)))
-        self.x_const = modulation_in_plane_constant(W.modulation.to_config())
+        self.x_const = W.modulation.in_plane_constant
         self.cache: dict = {}
         self._trail: dict = {}
         self.lookups = self.solves = self.not_converged = 0
@@ -372,9 +370,8 @@ class TableDensitySource:
             raise ValueError("the limit functional needs a table with z axes")
         self.x_sub = None
         if len(table.grid.x_points) == 1:
-            mod = table.provenance.get("integrand", {}).get("modulation",
-                                                            {"kind": "constant"})
-            if not modulation_in_plane_constant(mod):
+            mod = table.provenance.get("integrand", {}).get("modulation", {})
+            if not modulation_from_config(mod).in_plane_constant:
                 raise ValueError(
                     "a single-point table cannot represent a heterogeneity "
                     "that varies in x_alpha")

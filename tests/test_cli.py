@@ -147,14 +147,37 @@ def test_every_default_key_is_type_checked():
     ("gamma", "gamma: {n3: 1}", "'gamma' is invalid: need n3 >= 2"),
     ("density", "integrand: {domain: [0.0, 0.0, 1.0, 1.0]}",
      "unknown config key 'integrand.domain'"),
+    ("density", "integrand: {params: {p: 3.0, sclae: 2.0}}",
+     ("'integrand' is invalid", "argument 'sclae'")),
+    ("density", "integrand: {modulation: {kind: laminate_x3, level: [1.0, 5.0]}}",
+     ("'integrand' is invalid", "argument 'level'")),
+    ("density", "integrand: {growth: {beta_lower: 1.0, beta_upper: 2.0, q: 2.0}}",
+     ("'integrand' is invalid", "argument 'q'")),
+    ("density", "integrand: {modulation: [1]}",
+     "config key 'integrand.modulation' must be a mapping"),
+    ("density", "integrand: {growth: 5}", "config key 'integrand.growth' must be a mapping"),
+    ("density", "integrand: {modulation: {kind: product, factors: [5]}}",
+     ("'integrand' is invalid", "a modulation must be a mapping, got 5")),
+    ("density", "integrand: {family: aniso_quadratic, params: "
+     "{cmat: [[1.0]], entry_weights: [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]}}",
+     ("'integrand' is invalid", "at most one of cmat, entry_weights")),
+    ("tabulate", "tabulate: {x_points: [[0.5]]}",
+     ("'tabulate' is invalid", "two coordinates", "(0.5,)")),
+    ("tabulate", "tabulate: {f_axes: [[range, 0.0, 1.0], [frozen, 0.0], [frozen, 0.0], "
+     "[frozen, 0.0], [frozen, 0.0], [frozen, 0.0]]}",
+     ("'tabulate' is invalid", "['range', 0.0, 1.0]", "[range, lo, hi, count]")),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
         "source-table", "table_path-str", "family-composite", "mesh-n1-zero",
         "epsilons-null", "node_limit-negative",
         "check-names-list", "max_iter-zero", "grad_tol-negative", "multistart-zero",
         "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero",
-        "gamma-n3-one", "integrand-domain"])
+        "gamma-n3-one", "integrand-domain", "params-typo", "modulation-typo",
+        "growth-extra-key", "modulation-list", "growth-number", "factors-number",
+        "cmat-and-entry_weights", "x_point-one-coordinate", "range-axis-three-entries"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
+    # ``key`` is one fragment of the message or a tuple of them: the block
+    # and the bad key or entry.
     received = []
 
     def spy(path):
@@ -166,7 +189,8 @@ def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
     cfg_path.write_text(text + "\n")
     assert main([command, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
+    assert err.startswith("config error: ")
+    assert all(k in err for k in ((key,) if isinstance(key, str) else key)), err
     assert "Traceback" not in err
     assert received == []
 

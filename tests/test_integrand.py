@@ -13,7 +13,7 @@ from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
                                 ProductModulation, TransverseLaminate,
                                 aniso_quadratic_density,
                                 density_from_config, frobenius, join,
-                                modulation_in_plane_constant, pnorm_density,
+                                modulation_from_config, pnorm_density,
                                 two_well_density, verify_growth)
 import filmcell.integrand as integrand_mod
 from oracles import (central_difference, rank_one_well, two_well_laminate,
@@ -53,6 +53,15 @@ def test_aniso_entry_weights():
     F = rand_F(np.random.default_rng(1))
     assert W.evaluate(MID, F) == pytest.approx(
         0.5 * float(np.sum(w * F ** 2)), rel=1e-12)
+
+
+def test_aniso_unit_weights_by_default():
+    # neither C nor weights: W = 0.5 |F|^2, as the config without params gives
+    W = aniso_quadratic_density()
+    assert np.array_equal(W.family.cmat, np.eye(9))
+    assert W.to_config() == density_from_config({"family": "aniso_quadratic"}).to_config()
+    F = rand_F(np.random.default_rng(5))
+    assert W.evaluate(MID, F) == pytest.approx(0.5 * float(np.sum(F * F)), rel=1e-14)
 
 
 def test_aniso_cmat_spd_required():
@@ -177,9 +186,13 @@ def test_expression_modulation_needs_growth():
     ({"kind": "checkerboard_xalpha", "values": [1.0, 2.0], "cell": 0.5}, False),
     ({"kind": "expression", "expression": "1 + 0.1*x3"}, True),
     ({"kind": "expression", "expression": "1 + 0.1*x1"}, False),
+    ({"kind": "product", "factors": [{"kind": "laminate_x3"},
+                                     {"kind": "constant", "value": 2.0}]}, True),
+    ({"kind": "product", "factors": [{"kind": "laminate_x3"},
+                                     {"kind": "checkerboard_xalpha"}]}, False),
 ])
 def test_in_plane_constant_detector(cfg, const):
-    assert modulation_in_plane_constant(cfg) is const
+    assert modulation_from_config(cfg).in_plane_constant is const
 
 
 # -- domain and growth -------------------------------------------------------
@@ -264,10 +277,16 @@ def test_verify_growth_deterministic():
     {"family": "pnorm",
      "modulation": {"kind": "expression", "expression": "1 + 0.5*x3*x3"},
      "growth": {"p": 2.0, "beta_lower": 1.0, "beta_upper": 1.5}},
+    {"family": "aniso_quadratic",
+     "params": {"cmat": (np.eye(9) + 0.1 * np.ones((9, 9))).tolist()}},
+    {"family": "two_well",
+     "params": {"well_plus": [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.2]],
+                "well_minus": [[0, 0, 0.3], [0, 0.1, 0], [0, 0, 0]]}},
 ])
 def test_config_round_trip(cfg):
     W = density_from_config(cfg)
     W2 = density_from_config(W.to_config())
+    assert W2.to_config() == W.to_config()
     assert W.content_hash() == W2.content_hash()
     rng = np.random.default_rng(4)
     for _ in range(3):
