@@ -46,7 +46,7 @@ def main():
         F = t * A
         sol = quasiconvexify(W, F, spec, warm_start=warm)
         warm = sol.field
-        raw = W.evaluate(((0.5, 0.5), 0.0), F)
+        raw = W.evaluate(spec.x0, F)
         exact = float(W.family.relaxed_energy(F))
         print(f"{t:>6.2f} {raw:>12.6f} {sol.value:>12.6f} {exact:>12.6f}")
     return 0

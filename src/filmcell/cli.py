@@ -57,37 +57,19 @@ NOT_CONVERGED_WARNING = "not-converged"
 # Report plumbing
 # ---------------------------------------------------------------------------
 
-def _json_ready(obj):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def _strip_timing(obj):
-    """Drop wall-clock fields so report bodies are run-to-run identical."""
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items()
-                if k not in ("seconds", "elapsed")}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
+def _json_ready(obj, drop=()):
+    """``obj`` as plain JSON values (numpy values through ``tolist``, tuples
+    as lists), with the keys in ``drop`` removed at every depth."""
+    return json.loads(json.dumps(obj, default=lambda v: v.tolist()),
+                      object_hook=lambda d: {k: v for k, v in d.items()
+                                             if k not in drop})
 
 
 def _finish(command, body, meta, out_dir, export=None, csv_writer=None,
             exit_code=0):
     """Assemble the report, optionally write JSON/CSV artifacts."""
-    body = _strip_timing(_json_ready(body))
+    # Wall-clock fields leave the body, so it is run-to-run identical.
+    body = _json_ready(body, drop=("seconds", "elapsed"))
     digest = hashlib.sha256(json.dumps(
         body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     report = {"body": body, "body_sha256": digest, "meta": _json_ready(meta)}

@@ -101,7 +101,6 @@ def compile_expression(text: str):
         out = eval(code, namespace, local)
         return np.asarray(out, dtype=float)
 
-    fn.expression = str(text)
     return fn
 
 
@@ -119,5 +118,4 @@ def compile_vector(components):
             out[..., i] = np.broadcast_to(f(x1, x2, x3), shape)
         return out
 
-    fn.expressions = [str(c) for c in comps]
     return fn

@@ -452,31 +452,16 @@ class SheetMesh(_Grid):
 
 @dataclass
 class DiscreteField:
-    """Nodal 3-vector field on a CellMesh.
-
-    ``constraint_meta`` optionally records a transverse-average target
-    (a 3-vector ``target`` plus the scale used), checked to 1e-12 by
-    ``constraint_residual``.
-    """
+    """Nodal 3-vector field on a CellMesh."""
 
     mesh: CellMesh
     values: np.ndarray
-    constraint_meta: dict | None = None
 
     def __post_init__(self):
         expected = self.mesh.node_shape + (3,)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-
-    def constraint_residual(self) -> float:
-        """Deviation of the transverse average from its declared target."""
-        if not self.constraint_meta or "target" not in self.constraint_meta:
-            return 0.0
-        target = np.asarray(self.constraint_meta["target"], dtype=float)
-        scale = float(self.constraint_meta.get("scale", 1.0))
-        avg = area_mean_transverse_average(self, scale)
-        return float(np.linalg.norm(avg - target))
 
 
 def affine_values(mesh, fbar, z=None):
@@ -764,6 +749,4 @@ def inject(field: DiscreteField) -> DiscreteField:
         sl_hi[axis] = slice(1, n_old)
         out[tuple(sl_odd)] = 0.5 * (u[tuple(sl_lo)] + u[tuple(sl_hi)])
         u = out
-    return DiscreteField(refine_mesh(field.mesh), u,
-                         None if field.constraint_meta is None
-                         else dict(field.constraint_meta))
+    return DiscreteField(refine_mesh(field.mesh), u)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 from itertools import product
@@ -76,12 +77,14 @@ def _norm_axis(spec):
     if len(spec) == 2 and spec[0] == "frozen":
         return ("frozen", float(spec[1]))
     if len(spec) == 4 and spec[0] == "range":
-        lo, hi, count = float(spec[1]), float(spec[2]), int(spec[3])
+        lo, hi, count = float(spec[1]), float(spec[2]), spec[3]
+        if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+            raise ValueError(f"axis count must be an integer, got {count!r}")
         if count < 2:
             raise ValueError("active axes need at least two samples")
         if not lo < hi:
             raise ValueError("axis range needs lo < hi")
-        return ("range", lo, hi, count)
+        return ("range", lo, hi, int(count))
     raise ValueError(f"unknown axis spec {list(spec)}: give [frozen, v] "
                      "or [range, lo, hi, count]")
 

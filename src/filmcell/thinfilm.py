@@ -45,8 +45,8 @@ model of the limit descent: one evaluation of J at a new descent vector
 makes one density lookup per sheet quadrature point, and a cell-solver
 source runs a cell solve only for a (position, rounded argument) key it
 has not seen; a vector the descent has already evaluated, as a stalled
-descent's repeated trial points are, costs one dict lookup (a FIFO memo
-of 64 vectors on the objective).
+descent's repeated trial points are, costs one cache lookup (an LRU
+cache of 64 vectors on the objective).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,9 +154,6 @@ class ThinFilmProblem:
         return CellMesh(*self.omega.counts, self.n3, self.omega.origin,
                         self.omega.lengths, boundary_mode=LATERAL_AFFINE)
 
-    def boundary_datum(self, mesh: CellMesh):
-        return affine_values(mesh, self.fbar_bc)
-
     def template_spec(self) -> CellProblemSpec:
         return self.cell_template
 
@@ -173,7 +171,7 @@ class _FilmAssembly:
 
     def __init__(self, problem: ThinFilmProblem, mesh: CellMesh):
         self.mesh = mesh
-        self.datum = problem.boundary_datum(mesh)
+        self.datum = affine_values(mesh, problem.fbar_bc)
         self.pinned = pinned_values(mesh, self.datum)
         self.start = pack(self.datum, mesh)
         self.start.setflags(write=False)
@@ -427,28 +425,24 @@ _LIMIT_MEMO_SIZE = 64
 
 
 def _memoized(fun):
-    """``fun(vec) -> (value, grad)`` behind a FIFO memo of recent vectors.
+    """``fun(vec) -> (value, grad)`` behind an LRU cache of recent vectors.
 
     Keys are the exact bytes of ``vec``; cached gradients are read-only.
     A descent whose steps leave x unchanged retries the same trial
-    points every iteration, and those repeats then cost a dict lookup.
+    points every iteration, and those repeats then cost a cache lookup.
     Only a deterministic ``fun`` may be wrapped: a repeat must return
     what a fresh evaluation would.
     """
-    memo = {}
-
-    def wrapped(vec):
-        key = vec.tobytes()
-        out = memo.get(key)
-        if out is None:
-            out = fun(vec)
-            out[1].setflags(write=False)
-            if len(memo) >= _LIMIT_MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[key] = out
+    @lru_cache(maxsize=_LIMIT_MEMO_SIZE)
+    def cached(key):
+        out = fun(np.frombuffer(key))
+        out[1].setflags(write=False)
         return out
 
-    wrapped.memo = memo
+    def wrapped(vec):
+        return cached(vec.tobytes())
+
+    wrapped.cache_info = cached.cache_info
     wrapped.__wrapped__ = fun
     return wrapped
 

@@ -166,6 +166,9 @@ def test_every_default_key_is_type_checked():
     ("tabulate", "tabulate: {f_axes: [[range, 0.0, 1.0], [frozen, 0.0], [frozen, 0.0], "
      "[frozen, 0.0], [frozen, 0.0], [frozen, 0.0]]}",
      ("'tabulate' is invalid", "['range', 0.0, 1.0]", "[range, lo, hi, count]")),
+    ("tabulate", "tabulate: {f_axes: [[range, -1.0, 1.0, 2.7], [frozen, 0.0], [frozen, 0.0], "
+     "[frozen, 0.0], [frozen, 0.0], [frozen, 0.0]]}",
+     ("'tabulate' is invalid", "axis count must be an integer, got 2.7")),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
         "source-table", "table_path-str", "family-composite", "mesh-n1-zero",
         "epsilons-null", "node_limit-negative",
@@ -173,7 +176,8 @@ def test_every_default_key_is_type_checked():
         "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero",
         "gamma-n3-one", "integrand-domain", "params-typo", "modulation-typo",
         "growth-extra-key", "modulation-list", "growth-number", "factors-number",
-        "cmat-and-entry_weights", "x_point-one-coordinate", "range-axis-three-entries"])
+        "cmat-and-entry_weights", "x_point-one-coordinate", "range-axis-three-entries",
+        "range-count-fraction"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     # ``key`` is one fragment of the message or a tuple of them: the block
@@ -244,6 +248,27 @@ def test_cmd_density_deterministic_body():
     _, second = cmd_density(quad_config())
     assert first["body_sha256"] == second["body_sha256"]
     assert first["body"] == second["body"]
+
+
+def test_report_body_is_plain_json_without_timing():
+    body = {"value": np.float64(0.1), "count": np.int64(3), "ok": np.bool_(True),
+            "arr": np.arange(3.0), "pair": (1, 2.5),
+            "grid": np.array([[1, 2]], dtype=np.int64),
+            "study": {"seconds": 1.5, "rows": [
+                {"energy": np.float64(np.nan), "elapsed": 2.0, "inf": float("inf")}]}}
+    code, report = cli._finish("probe", body, {"elapsed": 0.25, "argv": None}, None)
+    assert code == 0
+    assert report["body_sha256"] == (
+        "5ea269bea8e2a0da07020023d92f6a9c4c044d5ff0be2f978d0ba8b62a6071f4")
+    got = report["body"]
+    energy = got["study"]["rows"][0].pop("energy")
+    assert type(energy) is float and np.isnan(energy)
+    assert got == {"value": 0.1, "count": 3, "ok": True, "arr": [0.0, 1.0, 2.0],
+                   "pair": [1, 2.5], "grid": [[1, 2]],
+                   "study": {"rows": [{"inf": float("inf")}]}}
+    assert [type(got[k]) for k in ("value", "count", "ok")] == [float, int, bool]
+    assert type(got["grid"][0][0]) is int
+    assert report["meta"] == {"elapsed": 0.25, "argv": None}
 
 
 def test_cmd_density_boundary_warning_exit_code():

@@ -233,7 +233,6 @@ def test_verify_growth_flags_wrong_lower_constant():
     rep = verify_growth(W, n_samples=128)
     assert not rep.ok
     assert rep.n_violations > 0
-    assert rep.violations
 
 
 @pytest.mark.parametrize("n", [1, 7, 512, 4096])

@@ -66,6 +66,9 @@ def test_axis_validation():
         SampleGrid(((0.5, 0.5),), (FROZEN,) * 6, z_axes=(FROZEN,) * 2)
     with pytest.raises(ValueError, match="sample point"):
         SampleGrid((), (FROZEN,) * 6)
+    for count in (2.7, "3", True):
+        with pytest.raises(ValueError, match="axis count must be an integer"):
+            SampleGrid(((0.5, 0.5),), (("range", -1.0, 1.0, count),) + (FROZEN,) * 5)
 
 
 def test_kind_validation():

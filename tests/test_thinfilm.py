@@ -151,7 +151,7 @@ def test_scaled_energy_of_affine_map():
     # sheet area times |Fbar|^2, independently of the thickness.
     problem = quad_problem(sheet=SheetMesh(3, 2, lengths=(2.0, 1.0)))
     mesh = problem.film_mesh()
-    u = DiscreteField(mesh, problem.boundary_datum(mesh))
+    u = DiscreteField(mesh, affine_values(mesh, problem.fbar_bc))
     want = 2.0 * problem.omega.area * float(np.sum(FBAR**2))
     for eps in problem.epsilons:
         got = scaled_energy(problem, eps, u)
@@ -163,7 +163,7 @@ def test_scaled_energy_sees_transverse_modulation():
     problem = ThinFilmProblem(W=W_LAM, omega=SheetMesh(2, 2), fbar_bc=FBAR,
                               epsilons=(1.0,), n3=2, cell_template=SMALL_CELL)
     mesh = problem.film_mesh()
-    u = DiscreteField(mesh, problem.boundary_datum(mesh))
+    u = DiscreteField(mesh, affine_values(mesh, problem.fbar_bc))
     want = 2.0 * 2.0 * float(np.sum(FBAR**2))
     assert rel_err(scaled_energy(problem, 1.0, u), want) < 1e-12
 
@@ -176,7 +176,7 @@ def test_scaled_energy_rejects_wrong_field():
     with pytest.raises(ValueError, match="boundary mode"):
         scaled_energy(problem, 1.0, DiscreteField(zmesh, affine_values(zmesh, FBAR)))
     # right mode but boundary values off the clamped datum
-    vals = problem.boundary_datum(mesh).copy()
+    vals = affine_values(mesh, problem.fbar_bc).copy()
     vals[0, 0, 0] += 0.1
     with pytest.raises(ValueError, match="datum"):
         scaled_energy(problem, 1.0, DiscreteField(mesh, vals))
@@ -188,7 +188,7 @@ def test_minimize_film_quadratic_stays_affine():
     want = 2.0 * problem.omega.area * float(np.sum(FBAR**2))
     assert rel_err(value, want) < 1e-8
     assert np.abs(bbar).max() < 1e-6
-    datum = problem.boundary_datum(field.mesh)
+    datum = affine_values(field.mesh, problem.fbar_bc)
     assert np.abs(field.values - datum).max() < 1e-6
 
 
@@ -532,11 +532,34 @@ def test_limit_objective_memo_skips_repeated_points():
     rng = np.random.default_rng(4)
     for _ in range(2 * thinfilm._LIMIT_MEMO_SIZE):
         fun(x0 + 0.01 * rng.normal(size=x0.shape))
-        assert len(fun.memo) <= thinfilm._LIMIT_MEMO_SIZE
-    assert len(fun.memo) == thinfilm._LIMIT_MEMO_SIZE
+        assert fun.cache_info().currsize <= thinfilm._LIMIT_MEMO_SIZE
+    assert fun.cache_info().currsize == thinfilm._LIMIT_MEMO_SIZE
     calls = source.calls
-    fun(x0.copy())      # evicted first-in: evaluated again
+    fun(x0.copy())      # evicted as least recently used: evaluated again
     assert source.calls == calls + 16
+
+
+def test_limit_objective_memo_keeps_recently_used_points():
+    size = thinfilm._LIMIT_MEMO_SIZE
+    source = _CountingSource()
+    fun, x0, _ = thinfilm._limit_objective(source, SheetMesh(2, 2), GAMMA_LOADS, FBAR)
+    rng = np.random.default_rng(5)
+    fresh = iter([x0 + 0.01 * rng.normal(size=x0.shape) for _ in range(2 * size)])
+
+    def calls_of(vec):
+        before = source.calls
+        fun(vec)
+        return source.calls - before
+
+    assert calls_of(x0) == 16
+    for _ in range(size):
+        assert calls_of(next(fresh)) == 16
+    assert calls_of(x0) == 16       # 64 new points later: evicted
+    for _ in range(size - 1):
+        calls_of(next(fresh))
+    assert calls_of(x0) == 0        # touched after the 63rd new point ...
+    assert calls_of(next(fresh)) == 16
+    assert calls_of(x0) == 0        # ... it outlives the 64th; a FIFO evicts it
 
 
 def test_memoized_descent_matches_plain_descent():
@@ -736,7 +759,7 @@ def test_stored_film_data_follows_reassigned_fields():
 
     def energies(problem):
         mesh = problem.film_mesh()
-        u = DiscreteField(mesh, problem.boundary_datum(mesh))
+        u = DiscreteField(mesh, affine_values(mesh, problem.fbar_bc))
         return [(minimize_thin_film(problem, eps)[0], scaled_energy(problem, eps, u))
                 for eps in problem.epsilons]
 
@@ -788,7 +811,7 @@ def test_scaled_energy_on_a_film_mesh_of_another_thickness_count():
     problem = quad_problem(loads=loads, n3=2)
     mesh = CellMesh(2, 2, 4, boundary_mode=LATERAL_AFFINE)
     assert mesh != problem.film_mesh()
-    u = DiscreteField(mesh, problem.boundary_datum(mesh))
+    u = DiscreteField(mesh, affine_values(mesh, problem.fbar_bc))
     got = scaled_energy(problem, 0.5, u)
     assert got == scaled_energy(replace(problem, n3=4), 0.5, u)
     # the affine field: bulk 2 |F|^2 per unit area, the body force's work
