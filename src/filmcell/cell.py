@@ -50,37 +50,28 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import astuple, dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .integrand import FiberInfimumError, MaterialPoint, StoredEnergyDensity
+from .integrand import MaterialPoint, StoredEnergyDensity
 from .field import (
     CellMesh, DiscreteField, EnergyContext, LATERAL_ZERO, LATERAL_PERIODIC,
     FULLY_PERIODIC, pack, unpack, affine_values, area_mean_transverse_average,
     inject, kinematic_operator, refine_mesh,
 )
-from .solvers import SolverConfig, converged, multistart_minimize, golden_section
-# Unused here; kept importable because ``perfbench/tracer.py`` patches it.
-from .solvers import minimize_lbfgs  # noqa: F401
+# ``minimize_lbfgs`` is unused here; kept importable because ``perfbench/tracer.py`` patches it.
+from .solvers import (SolveError, SolverConfig, converged, golden_section,  # noqa: F401
+                      minimize_lbfgs, multistart_minimize)
 
 __all__ = [
     "LSearchConfig", "InnerConfig", "CellProblemSpec", "CellSolution",
-    "CellSolveError", "membrane_density", "membrane_density_periodic",
+    "membrane_density", "membrane_density_periodic",
     "cosserat_density", "cosserat_offset_grads", "minimize_over_z",
     "quasiconvexify", "refinement_ladder",
 ]
 
 L_FLAT_REL = 1e-9          # L-profile variation treated as flat
-
-
-class CellSolveError(RuntimeError):
-    """Cell solve failed its contract; carries the best value found."""
-
-    def __init__(self, msg, best_value=None, diagnostics=None):
-        super().__init__(msg)
-        self.best_value = best_value
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -106,25 +97,19 @@ class LSearchConfig:
 
 
 @dataclass(frozen=True)
-class InnerConfig:
-    """Inner descent budget: iteration cap, gradient tolerance, multistart."""
+class InnerConfig(SolverConfig):
+    """The cell and film descents' ``SolverConfig``, plus their multistart."""
 
-    max_iter: int = 500
-    grad_tol: float = 1e-8
     multistart: int = 3
     perturb_scale: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        for rule, ok in (("max_iter >= 1", self.max_iter >= 1),
-                         ("grad_tol > 0", self.grad_tol > 0.0),
-                         ("multistart >= 1", self.multistart >= 1),
+        super().__post_init__()
+        for rule, ok in (("multistart >= 1", self.multistart >= 1),
                          ("perturb_scale >= 0", self.perturb_scale >= 0.0)):
             if not ok:
                 raise ValueError(f"need {rule}")
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(max_iter=self.max_iter, grad_tol=self.grad_tol)
 
 
 @dataclass
@@ -157,11 +142,8 @@ class CellProblemSpec:
             "mesh": [self.mesh.n1, self.mesh.n2, self.mesh.n3,
                      list(self.mesh.origin), list(self.mesh.lengths),
                      "gauss2"],
-            "l_search": [self.l_search.l_min, self.l_search.l_max,
-                         self.l_search.grid_count, self.l_search.golden_tol],
-            "inner": [self.inner.max_iter, self.inner.grad_tol,
-                      self.inner.multistart, self.inner.perturb_scale,
-                      self.inner.seed],
+            "l_search": list(astuple(self.l_search)),
+            "inner": list(astuple(self.inner)),
             "tol": self.tol,
         }
 
@@ -272,7 +254,7 @@ def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
     starts = [(label, pack(vals, mesh)) for label, vals in
               _base_starts(W, mesh, spec, fbar, scale, warm_values)]
     best, diag = multistart_minimize(ctx.value_and_grad, starts,
-                                     spec.inner.solver(), newton=ctx.newton,
+                                     spec.inner, newton=ctx.newton,
                                      value=ctx.value)
     full = unpack(ctx.operator.project(best.x), mesh)
     return best.value, full, diag
@@ -404,12 +386,9 @@ def _fiber_cell(W, spec):
     (Fbar | b0) at L = 1.  Returns (mesh, value, 1.0, psi = 0, b0, diag).
     """
     mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
-    diag = {"cell_reduction": "fiber", "warnings": [], "nonconvex_integrand": False}
-    try:
-        _, b0 = W.fiber_infimum(spec.x0, spec.fbar)
-    except FiberInfimumError as exc:
-        raise CellSolveError(str(exc), exc.best_value, diag) from exc
-    diag["b0"] = [float(v) for v in b0]
+    _, b0 = W.fiber_infimum(spec.x0, spec.fbar)
+    diag = {"cell_reduction": "fiber", "warnings": [], "nonconvex_integrand": False,
+            "b0": [float(v) for v in b0]}
     psi = np.zeros(mesh.node_shape + (3,))
     value = EnergyContext(W, mesh, 1.0, 0.5, "frozen", spec.x0, spec.fbar, b0).value(psi)
     return mesh, value, 1.0, psi, b0, diag
@@ -434,8 +413,8 @@ def membrane_density(W: StoredEnergyDensity, spec: CellProblemSpec,
                            spec.fbar, None).value(np.zeros(mesh.node_shape + (3,)))
     diag["upper_bound_zero_field"] = upper0
     if value > upper0 + spec.tol:
-        raise CellSolveError("membrane value exceeds its zero-field upper bound",
-                             best_value=value, diagnostics=diag)
+        raise SolveError("membrane value exceeds its zero-field upper bound",
+                         best_value=value, diagnostics=diag)
     field = DiscreteField(mesh, vals)
     return CellSolution(float(value), l_star, field, diag,
                         _spec_hash(W, spec, "membrane"))
@@ -468,11 +447,11 @@ def _check_split_bounds(W, spec, value, z, diag):
     upper = g.beta_upper * (g.split_power(spec.fbar, z) + 1.0)
     diag["split_upper_bound"] = upper
     if value < -spec.tol:
-        raise CellSolveError("cell density came out negative", best_value=value,
-                             diagnostics=diag)
+        raise SolveError("cell density came out negative", best_value=value,
+                         diagnostics=diag)
     if value > upper + spec.tol:
         if g.p == 2.0:
-            raise CellSolveError(
+            raise SolveError(
                 f"cell density {value} violates the growth upper bound {upper}",
                 best_value=value, diagnostics=diag)
         # The additive split of |F|^p is exact only at p = 2; for other
@@ -500,8 +479,8 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
     _check_split_bounds(W, spec, value, z, diag)
     field = _lifted_field(mesh, vals, z, l_star, diag)
     if diag["constraint_residual"] > 1e-12 * (1.0 + float(np.linalg.norm(z))):
-        raise CellSolveError("transverse-average constraint violated",
-                             best_value=value, diagnostics=diag)
+        raise SolveError("transverse-average constraint violated",
+                         best_value=value, diagnostics=diag)
     return CellSolution(float(value), l_star, field, diag,
                         _spec_hash(W, spec, "cosserat"))
 
@@ -533,7 +512,7 @@ def _joint_scan(W, spec):
     try:
         _, z_fiber = W.fiber_infimum(spec.x0, spec.fbar)
         z_starts.append(("zf", z_fiber))
-    except FiberInfimumError:
+    except SolveError:
         fiber_skipped = True
 
     def solve_at(L, warm_values):
@@ -559,7 +538,7 @@ def _joint_scan(W, spec):
                 starts.append((f"{flabel}/{zlabel}",
                                np.concatenate([fvec, z0])))
         best, diag = multistart_minimize(
-            fun, starts, spec.inner.solver(), value=value,
+            fun, starts, spec.inner, value=value,
             prefer=lambda r: float(np.linalg.norm(r.x[nfree:])))
         return best.value, best.x, diag
 
@@ -618,8 +597,8 @@ def quasiconvexify(W: StoredEnergyDensity, F, spec: CellProblemSpec,
     w_at_f = W.evaluate(spec.x0, F)
     diag["pointwise_value"] = w_at_f
     if value > w_at_f + spec.tol:
-        raise CellSolveError("quasiconvexification exceeds the pointwise value",
-                             best_value=value, diagnostics=diag)
+        raise SolveError("quasiconvexification exceeds the pointwise value",
+                         best_value=value, diagnostics=diag)
     field = DiscreteField(mesh, vals)
     return CellSolution(float(value), None, field, diag,
                         _spec_hash(W, spec, "quasiconvexify"))

@@ -36,9 +36,9 @@ import numpy as np
 from .expr import ExpressionError
 from .integrand import pnorm_density, verify_growth
 from .field import CellMesh, DiscreteField, affine_values
-from .cell import (CellProblemSpec, CellSolveError, cosserat_density,
-                   membrane_density, membrane_density_periodic,
-                   minimize_over_z, quasiconvexify)
+from .cell import (CellProblemSpec, cosserat_density, membrane_density,
+                   membrane_density_periodic, minimize_over_z, quasiconvexify)
+from .solvers import SolveError
 from .thinfilm import (SheetMesh, ThinFilmProblem, convergence_study,
                        scaled_energy)
 from .tabulate import (SampleGrid, TableParseError, build_table, export_csv,
@@ -445,7 +445,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (CellSolveError, TableParseError, ExpressionError) as exc:
+    except (SolveError, TableParseError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -34,7 +34,7 @@ from .integrand import MaterialPoint, density_from_config
 from .cell import CellProblemSpec, InnerConfig, LSearchConfig
 from .solvers import SolverConfig
 from .thinfilm import LoadSystem, ThinFilmProblem
-from .tabulate import SampleGrid
+from .tabulate import SampleGrid, _check_kind
 
 __all__ = [
     "ConfigError", "DEFAULTS", "load_config", "resolve_config",
@@ -241,20 +241,14 @@ def build_loads(resolved: dict) -> LoadSystem:
 
 def build_problem(resolved: dict) -> ThinFilmProblem:
     gc = resolved["gamma"]
-    oc = gc["omega"]
     cell_spec = build_cell_spec(resolved, with_z=True)
-    if not gc["epsilons"]:
-        raise ConfigError("config key 'gamma.epsilons' must be a non-empty list")
-    if not gc["limit_grad_tol"] > 0.0:
-        raise ConfigError("config key 'gamma.limit_grad_tol' must be positive")
     with _block("gamma"):
         return ThinFilmProblem(
             W=build_density(resolved),
-            omega=SheetMesh(oc["n1"], oc["n2"], origin=oc["origin"],
-                            lengths=oc["lengths"]),
+            omega=SheetMesh(**gc["omega"]),
             fbar_bc=_matrix(gc["fbar_bc"], (3, 2), "gamma.fbar_bc"),
             loads=build_loads(resolved),
-            epsilons=tuple(float(e) for e in gc["epsilons"]),
+            epsilons=gc["epsilons"],
             n3=gc["n3"],
             limit_inner=SolverConfig(grad_tol=float(gc["limit_grad_tol"])),
             cell_template=cell_spec)
@@ -263,8 +257,6 @@ def build_problem(resolved: dict) -> ThinFilmProblem:
 def build_grid(resolved: dict) -> SampleGrid:
     tc = resolved["tabulate"]
     with _block("tabulate"):
-        return SampleGrid(
-            x_points=tuple(tuple(p) for p in tc["x_points"]),
-            f_axes=tuple(tuple(a) for a in tc["f_axes"]),
-            z_axes=(None if tc["z_axes"] is None
-                    else tuple(tuple(a) for a in tc["z_axes"])))
+        grid = SampleGrid.from_config(tc)
+        _check_kind(tc["kind"], grid, ValueError)
+        return grid

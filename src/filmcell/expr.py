@@ -5,10 +5,13 @@ Config files describe loads and heterogeneity profiles as strings like
 whitelisted subset of Python expressions over the names x1, x2, x3:
 arithmetic (+ - * / ** %), the functions sin, cos, tan, exp, log, sqrt,
 abs, floor, sign, min, max, step (unit step, step(t) = 1 for t > 0) and
-the constants pi and e.  Anything else is rejected at parse time, so
-config files cannot execute arbitrary code.
+the constants pi and e.  Each function takes one argument, min and max
+one or more.  Anything else is rejected at parse time, so config files
+cannot execute arbitrary code.
 
-Compiled expressions evaluate vectorized over numpy arrays.
+Numeric literals are floats.  Compiled expressions evaluate vectorized
+over numpy arrays; compiling evaluates once at the origin, so constant
+arithmetic that fails (1/0, 10**400) is an ExpressionError.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def _validate(node):
             raise ExpressionError("only the whitelisted functions may be called")
         if node.keywords:
             raise ExpressionError("keyword arguments not allowed")
+        if len(node.args) != 1 and not (node.args and node.func.id in ("min", "max")):
+            raise ExpressionError(f"wrong number of arguments to {node.func.id}()")
         for a in node.args:
             _validate(a)
     elif isinstance(node, ast.Name):
@@ -80,6 +85,7 @@ def _validate(node):
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError("only numeric literals allowed")
+        node.value = float(node.value)
     else:
         raise ExpressionError(f"syntax {type(node).__name__} not allowed")
 
@@ -90,9 +96,14 @@ def compile_expression(text: str):
         tree = ast.parse(str(text), mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression: {exc}") from exc
-    _validate(tree)
-    code = compile(tree, "<filmcell-expression>", "eval")
     namespace = {**_FUNCTIONS, **_CONSTANTS, "__builtins__": {}}
+    try:
+        _validate(tree)         # also makes every literal a float
+        code = compile(tree, "<filmcell-expression>", "eval")
+        with np.errstate(all="ignore"):
+            eval(code, namespace, dict.fromkeys(_VARIABLES, np.zeros(())))
+    except ArithmeticError as exc:
+        raise ExpressionError(f"cannot evaluate {text!r}: {exc}") from exc
 
     def fn(x1, x2, x3):
         local = {"x1": np.asarray(x1, dtype=float),

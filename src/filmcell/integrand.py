@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solvers import SolverConfig, multistart_minimize
+from .solvers import SolveError, SolverConfig, multistart_minimize
 
 __all__ = [
     "DomainError",
@@ -297,7 +297,8 @@ class ExpressionModulation:
     The expression grammar is the shared one from :mod:`filmcell.expr`
     (sums, products, powers, trig, exponentials, step indicators).  Since
     bounds cannot be derived symbolically, densities built on expression
-    modulations must declare their growth constants explicitly.
+    modulations must declare their growth constants explicitly, and
+    ``value`` refuses a value that is not positive.
     """
 
     kind = "expression"
@@ -312,8 +313,11 @@ class ExpressionModulation:
         xa = np.asarray(x_alpha, dtype=float)
         x3 = np.asarray(x3, dtype=float)
         out = self._fn(xa[..., 0], xa[..., 1], x3)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.broadcast_shapes(np.shape(out), x3.shape)).copy()
+        out = np.broadcast_to(out, np.broadcast_shapes(out.shape, x3.shape)).copy()
+        if not np.all(out > 0.0):
+            raise ValueError(f"modulation {self.expression!r} must be positive, "
+                             f"its smallest value is {np.min(out)}")
+        return out
 
     def bounds(self):
         return None
@@ -462,7 +466,6 @@ class _TwoWell:
         # Rank-one connection between the wells, if any, drives laminate
         # seeds in the cell solvers.
         B = 0.5 * (A1 - A2)
-        self.half_gap = B
         u, s, vt = np.linalg.svd(B)
         self.gap_sq = float(2.0 * s[0]) ** 2      # sigma_max(A1 - A2)^2
         if s[0] > 0 and (s.shape[0] < 2 or s[1] <= 1e-12 * s[0]):
@@ -589,7 +592,8 @@ class StoredEnergyDensity:
         their candidates (the well columns).  Starts farther than the
         coercivity radius derived from the growth sandwich are skipped.
 
-        Returns (value, z_star).
+        Returns (value, z_star).  Raises ``SolveError`` when no start is
+        left, or (with the multistart diag) when the best did not converge.
         """
         fbar = np.asarray(fbar, dtype=float).reshape(3, 2)
         a = float(self.modulation.value(np.asarray(pt.x_alpha), pt.x3))
@@ -611,15 +615,13 @@ class StoredEnergyDensity:
         starts = [(lab, z0) for lab, z0 in starts
                   if float(np.linalg.norm(z0)) <= radius + 1e-9]
         if not starts:
-            raise FiberInfimumError(
-                f"no fiber start lies within the coercivity radius {radius}")
+            raise SolveError(f"no fiber start lies within the coercivity radius {radius}")
         best, diag = multistart_minimize(
             fun, starts, SolverConfig(max_iter=200, grad_tol=1e-10))
         if not best.converged:
-            raise FiberInfimumError(
+            raise SolveError(
                 "fiber infimum did not converge within the multistart budget",
-                best_value=best.value,
-                summaries=diag["starts"])
+                best_value=best.value, diagnostics=diag)
         return best.value, best.x
 
     # -- provenance ---------------------------------------------------------
@@ -637,13 +639,6 @@ class StoredEnergyDensity:
     def content_hash(self) -> str:
         payload = json.dumps(self.to_config(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
-
-
-class FiberInfimumError(RuntimeError):
-    def __init__(self, msg, best_value=None, summaries=None):
-        super().__init__(msg)
-        self.best_value = best_value
-        self.summaries = summaries or []
 
 
 # ---------------------------------------------------------------------------

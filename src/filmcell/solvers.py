@@ -28,6 +28,10 @@ accepted later trial is not counted.  ``multistart_minimize`` runs one
 descent per distinct start (compared by its bytes; descents are
 deterministic) and repeats its result for every duplicate.
 
+Every descent (fiber, cell, film, limit) takes one budget type, the
+validated ``SolverConfig``, which the cell's ``InnerConfig`` extends by
+its multistart; a solve that fails its contract raises ``SolveError``.
+
 Fixed constants: ``HISTORY`` (curvature pairs kept), ``ARMIJO_C``,
 ``STEP_SHRINK`` and ``MAX_BACKTRACKS`` (line search), ``GOLDEN_MAX_ITER``.
 
@@ -43,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "SolverConfig",
+    "SolveError",
     "SolveResult",
     "converged",
     "minimize_lbfgs",
@@ -58,16 +63,31 @@ MAX_BACKTRACKS = 50
 GOLDEN_MAX_ITER = 60
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Parameters of the descent loop.
 
-    max_iter is the iteration cap; grad_tol enters the relative
-    termination test ``norm(g) <= grad_tol * (1 + |f|)``.
+    max_iter (>= 1) is the iteration cap; grad_tol (> 0) enters the
+    relative termination test ``norm(g) <= grad_tol * (1 + |f|)``.
     """
 
     max_iter: int = 500
     grad_tol: float = 1e-8
+
+    def __post_init__(self):
+        for rule, ok in (("max_iter >= 1", self.max_iter >= 1),
+                         ("grad_tol > 0", self.grad_tol > 0.0)):
+            if not ok:
+                raise ValueError(f"need {rule}")
+
+
+class SolveError(RuntimeError):
+    """A solve failed its contract; carries its best value (if any) and diagnostics."""
+
+    def __init__(self, msg, best_value=None, diagnostics=None):
+        super().__init__(msg)
+        self.best_value = best_value
+        self.diagnostics = diagnostics or {}
 
 
 def converged(status) -> bool:

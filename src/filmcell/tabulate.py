@@ -46,9 +46,8 @@ from itertools import product
 import numpy as np
 
 from .integrand import MaterialPoint, StoredEnergyDensity
-from .cell import (
-    CellProblemSpec, CellSolveError, cosserat_density, membrane_density,
-)
+from .cell import CellProblemSpec, cosserat_density, membrane_density
+from .solvers import SolveError
 
 __all__ = [
     "SampleGrid", "DensityTable", "TableParseError", "ExtrapolationError",
@@ -205,7 +204,7 @@ def _solve_node(W, grid, kind, template, flat_index):
         else:
             sol = cosserat_density(W, spec)
         value = sol.value
-    except CellSolveError:
+    except SolveError:
         return np.nan, INVALID
     lower, upper = W.growth.sandwich(fbar, z, template.tol)
     if not (sol.converged and lower <= value <= upper):

@@ -251,8 +251,7 @@ def _solve_film(problem, film, eps):
         scale = inner.perturb_scale * (1.0 + float(np.linalg.norm(problem.fbar_bc)))
         for r in range(max(inner.multistart - 1, 0)):
             starts.append((f"perturb{r}", base + rng.normal(0.0, scale, base.shape)))
-    best, info = multistart_minimize(fun, starts, inner.solver(),
-                                     newton=ctx.newton, value=value)
+    best, info = multistart_minimize(fun, starts, inner, newton=ctx.newton, value=value)
     field = DiscreteField(film.mesh, unpack(best.x, film.mesh, film.datum))
     bbar = transverse_average(field, 1.0 / (2.0 * eps))
     return best.value, field, bbar, info

@@ -9,19 +9,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from filmcell.cell import (CellProblemSpec, CellSolveError, InnerConfig,
+from filmcell.cell import (CellProblemSpec, InnerConfig,
                            LSearchConfig, cosserat_density, cosserat_offset_grads,
                            membrane_density, membrane_density_periodic,
                            minimize_over_z, quasiconvexify, refinement_ladder)
 from filmcell.field import LATERAL_PERIODIC, CellMesh, transverse_average
 import filmcell.cell as cell_mod
 import filmcell.field as field_mod
-from filmcell.integrand import (ConstantModulation, FiberInfimumError,
-                                MaterialPoint, PlanarCheckerboard,
+from filmcell.integrand import (ConstantModulation, MaterialPoint, PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
                                 density_from_config, pnorm_density,
                                 two_well_density)
-from filmcell.solvers import minimize_lbfgs
+from filmcell.solvers import SolveError, SolverConfig, minimize_lbfgs
 from oracles import (central_difference, laminate_cosserat, laminate_membrane,
                      quadratic_cosserat, quadratic_membrane, rank_one_well,
                      rel_err, two_well_laminate, two_well_relaxed_compatible)
@@ -130,7 +129,7 @@ def test_minimize_over_z_records_a_skipped_fiber_start(monkeypatch):
     W = two_well_density(ACTIVE_WELL)
 
     def no_fiber(x, fbar):
-        raise FiberInfimumError("forced failure")
+        raise SolveError("forced failure")
     monkeypatch.setattr(W, "fiber_infimum", no_fiber)
     fbar = 1.5 * ACTIVE_WELL[:, :2]
     sol, b0 = minimize_over_z(W, spec_at(fbar, l_search=NARROW))
@@ -258,7 +257,7 @@ def test_lying_upper_growth_metadata_raises():
         "family": "pnorm", "params": {"p": 2.0},
         "growth": {"p": 2.0, "beta_lower": 0.1, "beta_upper": 0.2},
     })
-    with pytest.raises(CellSolveError) as err:
+    with pytest.raises(SolveError) as err:
         cosserat_density(W, spec_at(FB, np.zeros(3)))
     assert err.value.best_value is not None
     assert "upper bound" in str(err.value)
@@ -274,9 +273,10 @@ def test_lsearch_config_validation():
 
 
 def test_inner_config_maps_to_solver():
+    # the descents take an InnerConfig as their SolverConfig
     cfg = InnerConfig(max_iter=42, grad_tol=1e-6)
-    sc = cfg.solver()
-    assert (sc.max_iter, sc.grad_tol) == (42, 1e-6)
+    assert isinstance(cfg, SolverConfig)
+    assert (cfg.max_iter, cfg.grad_tol) == (42, 1e-6)
 
 
 # -- reproducibility and refinement ------------------------------------------
@@ -487,7 +487,7 @@ def test_two_well_stall_backtracks_without_gradients():
     ctx, starts = _fixed_l_descents(W, spec, spec.l_search.l_max)
     stalls = 0
     for x0 in starts:
-        res, log = _descend_both_ways(ctx, x0, spec.inner.solver())
+        res, log = _descend_both_ways(ctx, x0, spec.inner)
         if res.status == "max_iter":
             stalls += 1
             assert res.n_evals > 10 * res.iterations       # about 20 trials each
@@ -497,7 +497,7 @@ def test_two_well_stall_backtracks_without_gradients():
 
 def test_convex_and_newton_descents_are_unchanged_by_the_value_path():
     spec = spec_at(FB, [0.2, -0.1, 0.3])
-    cfg = spec.inner.solver()
+    cfg = spec.inner
     W3 = pnorm_density(3.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,)))
     ctx, starts = _fixed_l_descents(W3, spec, 2.0)
     res, log = _descend_both_ways(ctx, starts[0], cfg)
@@ -732,12 +732,14 @@ def test_closed_form_membrane_matches_the_periodic_scan(name, mesh):
 
 
 def test_convex_fiber_failure_is_a_cell_solve_error(monkeypatch):
+    # the fiber's SolveError reaches the caller as it was raised
     W = pnorm_density(3.0)
+    failure = SolveError("forced failure", best_value=0.25, diagnostics={"starts": []})
 
     def no_fiber(x, fbar):
-        raise FiberInfimumError("forced failure", best_value=0.25)
+        raise failure
     monkeypatch.setattr(W, "fiber_infimum", no_fiber)
     for op in (membrane_density_periodic, minimize_over_z):
-        with pytest.raises(CellSolveError, match="forced failure") as err:
+        with pytest.raises(SolveError) as err:
             op(W, spec_at(FB))
-        assert err.value.best_value == 0.25
+        assert err.value is failure

@@ -135,6 +135,7 @@ def test_every_default_key_is_type_checked():
     ("density", "integrand: {family: composite}", "unknown family 'composite'"),
     ("density", "cell: {mesh: {n1: 0}}", "'cell' is invalid: need n1"),
     ("gamma", "gamma: {epsilons: [null]}", "'gamma' is invalid: float()"),
+    ("gamma", "gamma: {epsilons: []}", "'gamma' is invalid: need at least one thickness"),
     ("tabulate", "tabulate: {node_limit: -1}", "'tabulate.node_limit'"),
     ("check", "check: {names: [[1]]}", "'check.names'"),
     ("density", "cell: {inner: {max_iter: 0}}", "'cell' is invalid: need max_iter >= 1"),
@@ -143,7 +144,7 @@ def test_every_default_key_is_type_checked():
     ("density", "cell: {inner: {perturb_scale: -0.1}}",
      "'cell' is invalid: need perturb_scale >= 0"),
     ("density", "cell: {l_search: {golden_tol: 0.0}}", "'cell' is invalid: need golden_tol > 0"),
-    ("gamma", "gamma: {limit_grad_tol: 0.0}", "'gamma.limit_grad_tol' must be positive"),
+    ("gamma", "gamma: {limit_grad_tol: 0.0}", "'gamma' is invalid: need grad_tol > 0"),
     ("gamma", "gamma: {n3: 1}", "'gamma' is invalid: need n3 >= 2"),
     ("density", "integrand: {domain: [0.0, 0.0, 1.0, 1.0]}",
      "unknown config key 'integrand.domain'"),
@@ -169,15 +170,30 @@ def test_every_default_key_is_type_checked():
     ("tabulate", "tabulate: {f_axes: [[range, -1.0, 1.0, 2.7], [frozen, 0.0], [frozen, 0.0], "
      "[frozen, 0.0], [frozen, 0.0], [frozen, 0.0]]}",
      ("'tabulate' is invalid", "axis count must be an integer, got 2.7")),
+    ("tabulate", "tabulate: {kind: membrane}",
+     ("'tabulate' is invalid", "membrane tables take no z axes")),
+    ("tabulate", "tabulate: {kind: foo}", ("'tabulate' is invalid", "got 'foo'")),
+    ("tabulate", "tabulate: {kind: cosserat, z_axes: null}",
+     ("'tabulate' is invalid", "cosserat tables need z axes")),
+    ("density", "integrand: {modulation: {kind: expression, expression: '1/0 + x3'}, "
+     "growth: {beta_lower: 0.1, beta_upper: 10.0}}",
+     ("'integrand' is invalid", "cannot evaluate '1/0 + x3'")),
+    ("density", "integrand: {modulation: {kind: expression, expression: 'sin(x1, x2) + 2'}, "
+     "growth: {beta_lower: 0.1, beta_upper: 10.0}}",
+     ("'integrand' is invalid", "wrong number of arguments to sin()")),
+    ("gamma", "gamma: {loads: {f: ['1/0', '0', '0']}}",
+     ("'gamma.loads.f'", "cannot evaluate '1/0'")),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
         "source-table", "table_path-str", "family-composite", "mesh-n1-zero",
-        "epsilons-null", "node_limit-negative",
+        "epsilons-null", "epsilons-empty", "node_limit-negative",
         "check-names-list", "max_iter-zero", "grad_tol-negative", "multistart-zero",
         "perturb_scale-negative", "golden_tol-zero", "limit_grad_tol-zero",
         "gamma-n3-one", "integrand-domain", "params-typo", "modulation-typo",
         "growth-extra-key", "modulation-list", "growth-number", "factors-number",
         "cmat-and-entry_weights", "x_point-one-coordinate", "range-axis-three-entries",
-        "range-count-fraction"])
+        "range-count-fraction", "kind-membrane-with-z-axes", "kind-unknown",
+        "kind-cosserat-without-z-axes", "expression-division-by-zero",
+        "expression-arity", "load-division-by-zero"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     # ``key`` is one fragment of the message or a tuple of them: the block
@@ -558,6 +574,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "config error" in err and "cell.fbarr" in err
     assert main(["density", "--config", str(tmp_path / "missing.yaml")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_main_refuses_a_non_positive_expression_modulation(tmp_path, capsys):
+    cfg_path = tmp_path / "negative.yaml"
+    cfg_path.write_text(
+        "integrand: {modulation: {kind: expression, expression: 'x3 - 5'}, "
+        "growth: {beta_lower: 0.1, beta_upper: 10.0}}\n"
+        "cell: {fbar: [[0.3, 0.0], [0.0, 0.2], [0.0, 0.0]], mesh: {n1: 2, n2: 2, n3: 2}}\n")
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "modulation 'x3 - 5' must be positive" in err and "Traceback" not in err
+    assert not (out / "density.json").exists()
 
 
 def test_main_requires_subcommand():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from filmcell.integrand import (ConstantModulation, DomainError, GrowthSpec,
-                                MaterialPoint, PlanarCheckerboard,
+from filmcell.expr import ExpressionError, compile_expression
+from filmcell.integrand import (ConstantModulation, DomainError, ExpressionModulation,
+                                GrowthSpec, MaterialPoint, PlanarCheckerboard,
                                 ProductModulation, TransverseLaminate,
                                 aniso_quadratic_density,
                                 density_from_config, frobenius, join,
@@ -178,6 +179,34 @@ def test_expression_modulation_needs_growth():
         density_from_config({"family": "pnorm",
                              "modulation": {"kind": "expression",
                                             "expression": "1 + x1"}})
+
+
+@pytest.mark.parametrize("text", [
+    "1/0 + x3", "2 % 0 + x1", "10**400 + x3", "9**9**9", "1" + "0" * 400 + " + x3",
+    "min()", "step() + 1", "sin(x1, x2) + 2"])
+def test_expression_refuses_what_it_cannot_evaluate(text):
+    # constant arithmetic fails at compile time, not at the first solve;
+    # a second argument to sin would be numpy's ``out`` array
+    with pytest.raises(ExpressionError):
+        compile_expression(text)
+
+
+def test_expression_literals_are_floats_and_min_max_take_several_arguments():
+    x1 = np.array([0.25, 0.75])
+    assert compile_expression("7 / 2 + 0*x1")(x1, 0.0, 0.0).tolist() == [3.5, 3.5]
+    assert compile_expression("2**-2 + max(x1)")(x1, 0.0, 0.0).tolist() == [0.5, 1.0]
+    assert compile_expression("min(x1, 0.5, 1)")(x1, 0.0, 0.0).tolist() == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("text, smallest", [("x3 - 5", "-6.0"), ("log(x3 + 0.5)", "nan")])
+def test_expression_modulation_refuses_a_value_that_is_not_positive(text, smallest):
+    # log(-0.5) is NaN, which is not positive either
+    mod = ExpressionModulation(text)
+    with pytest.raises(ValueError) as info, np.errstate(invalid="ignore"):
+        mod.value(np.array([[0.5, 0.5]] * 2), np.array([0.9, -1.0]))
+    assert str(info.value) == (f"modulation {text!r} must be positive, "
+                               f"its smallest value is {smallest}")
+    assert ExpressionModulation("exp(x3)").value(np.array([0.5, 0.5]), -1.0) == np.exp(-1.0)
 
 
 @pytest.mark.parametrize("cfg,const", [
@@ -417,18 +446,35 @@ def test_growth_helpers_match_inline_formulas(p, seed):
 
 def test_fiber_infimum_without_starts_raises_fiber_error():
     # a non-finite fbar gives a NaN coercivity radius, which drops every start
-    from filmcell.integrand import FiberInfimumError
+    from filmcell.solvers import SolveError
 
     W = pnorm_density(2.0)
     fbar = np.full((3, 2), np.nan)
-    with pytest.raises(FiberInfimumError) as info:
+    with pytest.raises(SolveError) as info:
         W.fiber_infimum(MID, fbar)
-    assert info.value.summaries == [] and info.value.best_value is None
+    assert info.value.diagnostics == {} and info.value.best_value is None
+
+
+def test_unconverged_fiber_infimum_raises_with_its_multistart_diag(monkeypatch):
+    from dataclasses import replace
+    from filmcell.solvers import SolveError
+
+    real, seen = integrand_mod.multistart_minimize, []
+
+    def stalled(fun, starts, config):
+        best, diag = real(fun, starts, config)
+        seen.append(diag)
+        return replace(best, status="max_iter"), diag
+    monkeypatch.setattr(integrand_mod, "multistart_minimize", stalled)
+    with pytest.raises(SolveError, match="did not converge") as info:
+        pnorm_density(3.0).fiber_infimum(MID, np.full((3, 2), 0.2))
+    assert info.value.diagnostics is seen[0]
+    assert info.value.best_value == seen[0]["starts"][0]["value"]
 
 
 def test_fiber_infimum_without_starts_names_the_coercivity_radius():
-    from filmcell.integrand import FiberInfimumError
+    from filmcell.solvers import SolveError
 
-    with pytest.raises(FiberInfimumError, match="no fiber start lies within "
-                                                "the coercivity radius"):
+    with pytest.raises(SolveError, match="no fiber start lies within "
+                                         "the coercivity radius"):
         pnorm_density(2.0).fiber_infimum(MID, np.full((3, 2), np.nan))

@@ -41,6 +41,16 @@ def test_lbfgs_rosenbrock():
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
 
 
+@pytest.mark.parametrize("kwargs, rule", [
+    ({"max_iter": 0}, "need max_iter >= 1"),
+    ({"grad_tol": 0.0}, "need grad_tol > 0"),
+    ({"grad_tol": float("nan")}, "need grad_tol > 0"),
+])
+def test_solver_config_refuses_a_budget_no_descent_can_keep(kwargs, rule):
+    with pytest.raises(ValueError, match=rule):
+        SolverConfig(**kwargs)
+
+
 def test_lbfgs_max_iter_status():
     def fun(x):
         return float(np.sum(x ** 2)) ** 0.51, 1.02 * np.sign(x) * np.abs(
