@@ -23,19 +23,20 @@ Cosserat cell in Fbar and z, and ``CellSolution.converged`` is its verdict.
 
 For convex W the periodic membrane forms are one fiber solve and one
 energy evaluation (``_fiber_cell``).  Every other cell problem scans the
-L-infimum on a log grid, polished by golden-section refinement; inner
-minimizations share the descent contract from :mod:`filmcell.solvers`
-and are warm-started along the L grid.  Convex Cosserat scans hand each
-L the previous field scaled by L'/L, which is exact (see ``_l_scan``);
-the clamped form, non-convex families and warm starts given by the
-caller chain unscaled.  A minimum attained strictly at a grid boundary
-raises the ``l-search-boundary`` warning in the diagnostics.  For a
-quadratic W (p-norm with p = 2, anisotropic quadratic, under any
-modulation) the fixed-L problem is a quadratic form, and the inner
-descents of the cell forms and of the quasiconvexification take Newton
-steps on its exact Hessian, whose factorization at each L is cached for
-the process (see ``EnergyContext.newton``); other families, and the
-joint descent of ``minimize_over_z`` for non-convex W, use L-BFGS.
+L-infimum on a log grid, polished by golden-section refinement, over
+one energy context rescaled to each L; inner descents share the contract
+of :mod:`filmcell.solvers` and chain free-dof vectors along the grid.
+Convex Cosserat scans hand each L the previous vector scaled by L'/L,
+which is exact (see ``_l_scan``); the clamped form, non-convex families
+and warm starts given by the caller chain unscaled.  A minimum attained
+strictly at a grid boundary raises the ``l-search-boundary`` warning in
+the diagnostics.  For a quadratic W (p-norm with p = 2, anisotropic
+quadratic, under any modulation) the fixed-L problem is a quadratic
+form, and the inner descents of the cell forms and of the
+quasiconvexification take Newton steps on its exact Hessian, whose
+factorization at each L is cached for the process (see
+``EnergyContext.newton``); other families, and the joint descent of
+``minimize_over_z`` for non-convex W, use L-BFGS.
 
 The transverse-average constraint is enforced by reparametrization, not
 by multipliers: the solver variable is an unconstrained periodic field
@@ -47,6 +48,7 @@ ramp exactly, so solutions chain across L values and mesh levels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -58,7 +60,7 @@ from .integrand import MaterialPoint, StoredEnergyDensity
 from .field import (
     CellMesh, DiscreteField, EnergyContext, LATERAL_ZERO, LATERAL_PERIODIC,
     FULLY_PERIODIC, pack, unpack, affine_values, area_mean_transverse_average,
-    inject, kinematic_operator, refine_mesh,
+    free_size, inject, refine_mesh,
 )
 # ``minimize_lbfgs`` is unused here; kept importable because ``perfbench/tracer.py`` patches it.
 from .solvers import (SolveError, SolverConfig, converged, golden_section,  # noqa: F401
@@ -156,7 +158,12 @@ class CellSolution:
     l_star: float | None
     field: DiscreteField
     diagnostics: dict = dc_field(default_factory=dict)
-    spec_hash: str = ""
+    keyed: tuple | None = dc_field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def spec_hash(self) -> str:
+        """Hash of ``keyed``, the solve's (W, spec, kind), as it is at the first read."""
+        return "" if self.keyed is None else _spec_hash(*self.keyed)
 
     @property
     def warnings(self):
@@ -213,61 +220,55 @@ def _laminate_seed(W, mesh, gradient_scale):
     return np.broadcast_to(vals, mesh.node_shape + (3,)).copy()
 
 
-def _base_starts(W, mesh, spec, fbar, gradient_scale, warm_values=None):
-    """Ordered (label, full nodal values) pairs for the inner multistart.
+def _base_starts(W, mesh, spec, fbar, gradient_scale, warm=None):
+    """Ordered (label, free-dof vector) pairs for the inner multistart.
 
     Convex families get the warm start when there is one, else the zero
     start; the discrete problem is then convex and any start reaches the
     minimum.  Nonconvex families get both, then a mesh-aligned laminate
     seed, the negated affine lift and seeded random perturbations.
     """
-    zero = ("zero", np.zeros(mesh.node_shape + (3,)))
-    starts = [zero] if warm_values is None else [("warm", warm_values), zero]
+    starts = [] if warm is None else [("warm", warm)]
     if W.is_convex:
-        return starts[:1]
+        return starts or [("zero", np.zeros(free_size(mesh)))]
+    nodal = [("zero", np.zeros(mesh.node_shape + (3,)))]
     lam = _laminate_seed(W, mesh, gradient_scale)
     if lam is not None:
-        starts.append(("laminate", lam))
-    starts.append(("affine-lift", -affine_values(mesh, fbar)))
+        nodal.append(("laminate", lam))
+    nodal.append(("affine-lift", -affine_values(mesh, fbar)))
     rng = np.random.default_rng(np.random.SeedSequence([spec.inner.seed, 7]))
     scale = spec.inner.perturb_scale * (1.0 + float(np.linalg.norm(fbar)))
     for r in range(max(spec.inner.multistart - 3, 0)):
-        starts.append((f"perturb{r}",
-                       rng.normal(0.0, scale, mesh.node_shape + (3,))))
-    return starts
+        nodal.append((f"perturb{r}", rng.normal(0.0, scale, mesh.node_shape + (3,))))
+    return starts + [(label, pack(vals, mesh)) for label, vals in nodal]
 
 
 # ---------------------------------------------------------------------------
 # Inner solves at fixed L
 # ---------------------------------------------------------------------------
 
-def _solve_fixed(W, mesh, spec, fbar, z, scale, x_mode,
-                 constrained=False, warm_values=None):
-    """Minimize the half-integral cell energy over the free dofs at fixed scale.
+def _solve_fixed(ctx, spec, warm=None):
+    """Minimize the energy of ``ctx`` over its free dofs, from ``warm`` if given.
 
-    Returns (value, full nodal values, diagnostics).
+    A scan passes its one base context ``rescaled`` to each L, and chains
+    the returned free-dof vector.  Returns (value, projected vector, diagnostics).
     """
-    ctx = EnergyContext(W, mesh, transverse_scale=scale, prefactor=0.5,
-                        x_mode=x_mode, x0=spec.x0,
-                        inplane_offset=fbar, transverse_offset=z,
-                        constrained=constrained)
-    starts = [(label, pack(vals, mesh)) for label, vals in
-              _base_starts(W, mesh, spec, fbar, scale, warm_values)]
+    starts = _base_starts(ctx.W, ctx.mesh, spec, ctx.inplane_offset,
+                          ctx.transverse_scale, warm)
     best, diag = multistart_minimize(ctx.value_and_grad, starts,
                                      spec.inner, newton=ctx.newton,
                                      value=ctx.value)
-    full = unpack(ctx.operator.project(best.x), mesh)
-    return best.value, full, diag
+    return best.value, ctx.operator.project(best.x), diag
 
 
 def _l_scan(solve_at, lcfg: LSearchConfig, warm0=None, rescale=None):
     """Scan the L grid, polish with golden section, report the profile.
 
-    ``solve_at(L, warm_values)`` returns (value, values, diag) and is
-    chained: each grid point warm-starts from its predecessor, and each
-    golden-section point from the best field found so far.  With
-    ``rescale(values, ratio)`` that warm field, found at L', is handed
-    over as ``rescale(values, L' / L)``: ``_scan`` passes it for convex
+    ``solve_at(L, warm)`` returns (value, x, diag), x the minimizer's
+    free-dof vector, and is chained: each grid point warm-starts from its
+    predecessor's x, and each golden-section point from the best x so
+    far.  With ``rescale(x, ratio)`` that warm vector, found at L', is
+    handed over as ``rescale(x, L' / L)``: ``_scan`` passes it for convex
     Cosserat cells without a caller's warm start.  There the minimizer
     depends on x3 only (its average over lateral translations keeps the
     constraint and, by Jensen, does not raise the energy), so its
@@ -353,17 +354,24 @@ def _relaxed_value(W, spec, value, vals, mesh, z, l_star, diag):
 
 
 def _scan(W, spec, mode, z, warm_start):
-    """L-scan in boundary ``mode``: (mesh, value, l_star, values, diag)."""
-    mesh = replace(spec.mesh, boundary_mode=mode)
-    warm0 = None if warm_start is None else warm_start.values
+    """L-scan in boundary ``mode``: (mesh, value, l_star, values, diag).
 
-    def solve_at(L, warm_values):
-        return _solve_fixed(W, mesh, spec, spec.fbar, z, L, "frozen",
-                            constrained=z is not None, warm_values=warm_values)
+    One frozen context serves every L; the solves chain free-dof vectors,
+    so a caller's warm field is packed once and only the winner unpacked.
+    """
+    mesh = replace(spec.mesh, boundary_mode=mode)
+    base = EnergyContext(W, mesh, prefactor=0.5, x_mode="frozen", x0=spec.x0,
+                         inplane_offset=spec.fbar, transverse_offset=z,
+                         constrained=z is not None)
+    warm0 = None if warm_start is None else pack(warm_start.values, mesh)
+
+    def solve_at(L, warm):
+        return _solve_fixed(base.rescaled(L), spec, warm)
 
     rescaled = W.is_convex and mode == LATERAL_PERIODIC and warm0 is None
-    return (mesh,) + _l_scan(solve_at, spec.l_search, warm0,
-                             np.multiply if rescaled else None)
+    value, l_star, x, diag = _l_scan(solve_at, spec.l_search, warm0,
+                                     np.multiply if rescaled else None)
+    return mesh, value, l_star, unpack(x, mesh), diag
 
 
 def _lifted_field(mesh, psi, z, l_star, diag):
@@ -416,8 +424,7 @@ def membrane_density(W: StoredEnergyDensity, spec: CellProblemSpec,
         raise SolveError("membrane value exceeds its zero-field upper bound",
                          best_value=value, diagnostics=diag)
     field = DiscreteField(mesh, vals)
-    return CellSolution(float(value), l_star, field, diag,
-                        _spec_hash(W, spec, "membrane"))
+    return CellSolution(float(value), l_star, field, diag, (W, spec, "membrane"))
 
 
 def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec) -> CellSolution:
@@ -438,7 +445,7 @@ def membrane_density_periodic(W: StoredEnergyDensity, spec: CellProblemSpec) -> 
         mesh, value, l_star, vals, diag = _scan(W, spec, LATERAL_PERIODIC, None, None)
         value = _relaxed_value(W, spec, value, vals, mesh, None, l_star, diag)
     return CellSolution(float(value), l_star, DiscreteField(mesh, vals), diag,
-                        _spec_hash(W, spec, "membrane-periodic"))
+                        (W, spec, "membrane-periodic"))
 
 
 def _check_split_bounds(W, spec, value, z, diag):
@@ -481,8 +488,7 @@ def cosserat_density(W: StoredEnergyDensity, spec: CellProblemSpec,
     if diag["constraint_residual"] > 1e-12 * (1.0 + float(np.linalg.norm(z))):
         raise SolveError("transverse-average constraint violated",
                          best_value=value, diagnostics=diag)
-    return CellSolution(float(value), l_star, field, diag,
-                        _spec_hash(W, spec, "cosserat"))
+    return CellSolution(float(value), l_star, field, diag, (W, spec, "cosserat"))
 
 
 def cosserat_offset_grads(W: StoredEnergyDensity, spec: CellProblemSpec,
@@ -504,8 +510,9 @@ def cosserat_offset_grads(W: StoredEnergyDensity, spec: CellProblemSpec,
 def _joint_scan(W, spec):
     """Joint (field, z) L-scan of a non-convex W, as ``_fiber_cell`` returns."""
     mesh = replace(spec.mesh, boundary_mode=LATERAL_PERIODIC)
-    projector = kinematic_operator(mesh, constrained=True)
-    nfree = projector.ndof
+    base = EnergyContext(W, mesh, prefactor=0.5, x_mode="frozen", x0=spec.x0,
+                         inplane_offset=spec.fbar, constrained=True)
+    nfree = base.operator.ndof
 
     z_starts = [("z0", np.zeros(3))]
     fiber_skipped = False
@@ -515,10 +522,8 @@ def _joint_scan(W, spec):
     except SolveError:
         fiber_skipped = True
 
-    def solve_at(L, warm_values):
-        ctx = EnergyContext(W, mesh, transverse_scale=L, prefactor=0.5,
-                            x_mode="frozen", x0=spec.x0,
-                            inplane_offset=spec.fbar, constrained=True)
+    def solve_at(L, warm):
+        ctx = base.rescaled(L)
 
         def fun(vec):
             ctx.transverse_offset = vec[nfree:]
@@ -529,11 +534,8 @@ def _joint_scan(W, spec):
             ctx.transverse_offset = vec[nfree:]
             return ctx.value(vec[:nfree])
 
-        starts = []
-        if warm_values is not None:
-            starts.append(("warm", warm_values))
-        for flabel, fvals in _base_starts(W, mesh, spec, spec.fbar, L):
-            fvec = pack(fvals, mesh)
+        starts = [] if warm is None else [("warm", warm)]
+        for flabel, fvec in _base_starts(W, mesh, spec, spec.fbar, L):
             for zlabel, z0 in z_starts:
                 starts.append((f"{flabel}/{zlabel}",
                                np.concatenate([fvec, z0])))
@@ -545,7 +547,7 @@ def _joint_scan(W, spec):
     value, l_star, joint, diag = _l_scan(solve_at, spec.l_search)
     if fiber_skipped:
         diag["warnings"].append("fiber-start-skipped")
-    psi = unpack(projector.project(joint[:nfree]), mesh)
+    psi = unpack(base.operator.project(joint[:nfree]), mesh)
     b0 = joint[nfree:].copy()
     value = _relaxed_value(W, spec, value, psi, mesh, b0, l_star, diag)
     return mesh, value, l_star, psi, b0, diag
@@ -570,8 +572,7 @@ def minimize_over_z(W: StoredEnergyDensity, spec: CellProblemSpec):
         diag.setdefault("warnings", []).append("b0-outside-coercivity-radius")
     _check_split_bounds(W, spec, value, b0, diag)
     field = _lifted_field(mesh, psi, b0, l_star, diag)
-    sol = CellSolution(float(value), l_star, field, diag,
-                       _spec_hash(W, spec, "minimize-over-z"))
+    sol = CellSolution(float(value), l_star, field, diag, (W, spec, "minimize-over-z"))
     return sol, b0
 
 
@@ -591,17 +592,16 @@ def quasiconvexify(W: StoredEnergyDensity, F, spec: CellProblemSpec,
     # The grid spans x3 in (-1, 1); mapping the unit cube onto it doubles
     # the transverse derivative and halves the measure, which the scale 2
     # together with the 1/2 energy prefactor implements.
-    warm0 = None if warm_start is None else warm_start.values
-    value, vals, diag = _solve_fixed(W, mesh, spec, F[:, :2], F[:, 2], 2.0,
-                                     "point", warm_values=warm0)
+    ctx = EnergyContext(W, mesh, 2.0, 0.5, "point", spec.x0, F[:, :2], F[:, 2])
+    warm = None if warm_start is None else pack(warm_start.values, mesh)
+    value, x, diag = _solve_fixed(ctx, spec, warm)
     w_at_f = W.evaluate(spec.x0, F)
     diag["pointwise_value"] = w_at_f
     if value > w_at_f + spec.tol:
         raise SolveError("quasiconvexification exceeds the pointwise value",
                          best_value=value, diagnostics=diag)
-    field = DiscreteField(mesh, vals)
-    return CellSolution(float(value), None, field, diag,
-                        _spec_hash(W, spec, "quasiconvexify"))
+    field = DiscreteField(mesh, unpack(x, mesh))
+    return CellSolution(float(value), None, field, diag, (W, spec, "quasiconvexify"))
 
 
 def refinement_ladder(op, W: StoredEnergyDensity, spec: CellProblemSpec,
@@ -614,12 +614,8 @@ def refinement_ladder(op, W: StoredEnergyDensity, spec: CellProblemSpec,
     operations taking (W, spec, warm_start).  Returns the list of
     solutions, coarsest first.
     """
-    out = []
-    sol = op(W, spec)
-    out.append(sol)
+    out = [op(W, spec)]
     for _ in range(levels - 1):
         spec = replace(spec, mesh=refine_mesh(spec.mesh))
-        warm = inject(sol.field)
-        sol = op(W, spec, warm_start=warm)
-        out.append(sol)
+        out.append(op(W, spec, warm_start=inject(out[-1].field)))
     return out

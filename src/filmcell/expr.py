@@ -11,7 +11,8 @@ cannot execute arbitrary code.
 
 Numeric literals are floats.  Compiled expressions evaluate vectorized
 over numpy arrays; compiling evaluates once at the origin, so constant
-arithmetic that fails (1/0, 10**400) is an ExpressionError.
+arithmetic that fails (1/0, 10**400) or comes out complex ((-8)**(1/3))
+is an ExpressionError.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ def compile_expression(text: str):
         _validate(tree)         # also makes every literal a float
         code = compile(tree, "<filmcell-expression>", "eval")
         with np.errstate(all="ignore"):
-            eval(code, namespace, dict.fromkeys(_VARIABLES, np.zeros(())))
+            probe = eval(code, namespace, dict.fromkeys(_VARIABLES, np.zeros(())))
     except ArithmeticError as exc:
         raise ExpressionError(f"cannot evaluate {text!r}: {exc}") from exc
+    if np.iscomplexobj(probe):
+        raise ExpressionError(f"cannot evaluate {text!r}: complex value {probe}")
 
     def fn(x1, x2, x3):
         local = {"x1": np.asarray(x1, dtype=float),

@@ -46,7 +46,8 @@ makes one density lookup per sheet quadrature point, and a cell-solver
 source runs a cell solve only for a (position, rounded argument) key it
 has not seen; a vector the descent has already evaluated, as a stalled
 descent's repeated trial points are, costs one cache lookup (an LRU
-cache of 64 vectors on the objective).
+cache of 64 vectors on the objective).  A cell solve is one L-scan over
+one energy context rescaled to each L, chaining free-dof vectors.
 """
 
 from __future__ import annotations
@@ -311,17 +312,15 @@ class CellDensitySource:
     def _spec_for(self, x_key, fbar, z, x0):
         """Continuation: warm field and a narrowed L window per point."""
         prev = self._trail.get(x_key)
-        spec = replace(self.template, fbar=fbar, z=z, x0=x0)
-        if prev is None:
-            return spec, None
-        dist = max(np.abs(fbar - prev["fbar"]).max(), np.abs(z - prev["z"]).max())
-        if dist > 1.0:
-            return spec, None
+        if prev is None or max(np.abs(fbar - prev["fbar"]).max(),
+                               np.abs(z - prev["z"]).max()) > 1.0:
+            return replace(self.template, fbar=fbar, z=z, x0=x0), None
         ls = self.template.l_search
         narrowed = replace(ls, l_min=max(ls.l_min, prev["l_star"] / 4.0),
                            l_max=min(ls.l_max, prev["l_star"] * 4.0),
                            grid_count=5)
-        return replace(spec, l_search=narrowed), prev["field"]
+        return (replace(self.template, fbar=fbar, z=z, x0=x0, l_search=narrowed),
+                prev["field"])
 
     def evaluate(self, x_alpha, fbar, z):
         self.lookups += 1

@@ -13,9 +13,10 @@ from filmcell.cell import (CellProblemSpec, InnerConfig,
                            LSearchConfig, cosserat_density, cosserat_offset_grads,
                            membrane_density, membrane_density_periodic,
                            minimize_over_z, quasiconvexify, refinement_ladder)
-from filmcell.field import LATERAL_PERIODIC, CellMesh, transverse_average
+from filmcell.field import LATERAL_PERIODIC, CellMesh, pack, transverse_average
 import filmcell.cell as cell_mod
 import filmcell.field as field_mod
+from filmcell.thinfilm import CellDensitySource
 from filmcell.integrand import (ConstantModulation, MaterialPoint, PlanarCheckerboard,
                                 TransverseLaminate, aniso_quadratic_density,
                                 density_from_config, pnorm_density,
@@ -345,6 +346,23 @@ def test_spec_keys_are_stable():
         "cfc46f6d48055814c23d3515065846996965c2a4b3aca9bd9129b10face9bb71")
 
 
+def test_spec_hash_is_computed_only_when_read(monkeypatch):
+    calls = []
+    real = cell_mod._spec_hash
+    monkeypatch.setattr(cell_mod, "_spec_hash",
+                        lambda *args: calls.append(args) or real(*args))
+    source = CellDensitySource(LAM, spec_at(FB))
+    source.evaluate((0.5, 0.5), FB, np.array([0.2, -0.1, 0.4]))
+    assert source.solves == 1 and calls == []
+    # the key of test_spec_keys_are_stable, read from a solution
+    sol = cosserat_density(LAM, spec_at(FB, [0.2, -0.1, 0.4]))
+    assert calls == []
+    pinned = "cfc46f6d48055814c23d3515065846996965c2a4b3aca9bd9129b10face9bb71"
+    assert sol.spec_hash == pinned
+    assert sol.to_record()["spec_hash"] == pinned
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name,kw", [
     ("fbar", {"fbar": np.full((3, 2), np.nan)}),
     ("z", {"fbar": FB, "z": [0.0, np.inf, 0.0]}),
@@ -408,21 +426,34 @@ def test_second_table_node_reuses_every_factorization(monkeypatch):
 
 def test_fixed_l_solve_leaves_no_live_context(monkeypatch):
     contexts = []
+    iterations = []
 
     class Recorded(cell_mod.EnergyContext):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             contexts.append(weakref.ref(self))
+
+        def rescaled(self, transverse_scale):
+            ctx = super().rescaled(transverse_scale)
+            contexts.append(weakref.ref(ctx))
+            return ctx
+    real = cell_mod.multistart_minimize
+
+    def recorded(*args, **kwargs):
+        best, diag = real(*args, **kwargs)
+        iterations.append(diag["iterations"])
+        return best, diag
     monkeypatch.setattr(cell_mod, "EnergyContext", Recorded)
+    monkeypatch.setattr(cell_mod, "multistart_minimize", recorded)
     spec = spec_at(FB, [0.1, -0.2, 0.3])
-    mesh = replace(MESH2, boundary_mode=LATERAL_PERIODIC)
-    # with the collector off, only reference counts can release a context
+    # with the collector off, only reference counts can release a context:
+    # the scan's base context and its copy at every L
     gc.disable()
     try:
-        _, _, diag = cell_mod._solve_fixed(LAM, mesh, spec, spec.fbar, spec.z, 2.0,
-                                           "frozen", constrained=True)
-        assert diag["iterations"] > 1
-        assert len(contexts) == 1 and contexts[0]() is None
+        sol = cosserat_density(LAM, spec)
+        assert max(iterations) > 1
+        assert len(contexts) == 1 + len(sol.diagnostics["l_profile"])
+        assert all(ref() is None for ref in contexts)
     finally:
         gc.enable()
 
@@ -445,8 +476,7 @@ def _fixed_l_descents(W, spec, L):
                                   x_mode="frozen", x0=spec.x0,
                                   inplane_offset=spec.fbar,
                                   transverse_offset=spec.z, constrained=True)
-    starts = [field_mod.pack(v, mesh) for _, v in
-              cell_mod._base_starts(W, mesh, spec, spec.fbar, L)]
+    starts = [x for _, x in cell_mod._base_starts(W, mesh, spec, spec.fbar, L)]
     return ctx, starts
 
 
@@ -624,14 +654,13 @@ def test_cold_laminate_cosserat_scan_factors_once(monkeypatch):
 
 
 def _recorded_fixed_solves(monkeypatch, run):
-    """(L, warm values, returned values) of every fixed-L solve in ``run()``."""
+    """(L, warm vector, returned vector) of every fixed-L solve in ``run()``."""
     solves = []
     real = cell_mod._solve_fixed
 
-    def spy(W, mesh, spec, fbar, z, scale, *args, warm_values=None, **kwargs):
-        out = real(W, mesh, spec, fbar, z, scale, *args, warm_values=warm_values,
-                   **kwargs)
-        solves.append((scale, warm_values, out[1]))
+    def spy(ctx, spec, warm=None):
+        out = real(ctx, spec, warm)
+        solves.append((ctx.transverse_scale, warm, out[1]))
         return out
     with monkeypatch.context() as m:
         m.setattr(cell_mod, "_solve_fixed", spy)
@@ -640,7 +669,7 @@ def _recorded_fixed_solves(monkeypatch, run):
 
 
 def _assert_chained(solves, rescaled):
-    """Each grid point after the first starts from its predecessor's field."""
+    """Each grid point after the first starts from its predecessor's free dofs."""
     for (l_prev, _, prev), (L, warm, _) in zip(solves, solves[1:]):
         want = prev * (l_prev / L) if rescaled else prev
         assert warm.tobytes() == want.tobytes()
@@ -667,7 +696,8 @@ def test_only_convex_periodic_scans_rescale_their_warm_fields(monkeypatch):
     warm = cosserat_density(LAM, spec).field
     solves = _recorded_fixed_solves(
         monkeypatch, lambda: cosserat_density(LAM, spec, warm_start=warm))
-    assert solves[0][1] is warm.values
+    mesh = replace(MESH324, boundary_mode=LATERAL_PERIODIC)
+    assert solves[0][1].tobytes() == pack(warm.values, mesh).tobytes()
     _assert_chained(solves[:GRID], rescaled=False)
 
 

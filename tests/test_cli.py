@@ -181,6 +181,9 @@ def test_every_default_key_is_type_checked():
     ("density", "integrand: {modulation: {kind: expression, expression: 'sin(x1, x2) + 2'}, "
      "growth: {beta_lower: 0.1, beta_upper: 10.0}}",
      ("'integrand' is invalid", "wrong number of arguments to sin()")),
+    ("density", "integrand: {modulation: {kind: expression, expression: '(-8)**(1/3) + x3'}, "
+     "growth: {beta_lower: 0.1, beta_upper: 10.0}}",
+     ("'integrand' is invalid", "cannot evaluate '(-8)**(1/3) + x3': complex value")),
     ("gamma", "gamma: {loads: {f: ['1/0', '0', '0']}}",
      ("'gamma.loads.f'", "cannot evaluate '1/0'")),
 ], ids=["node_limit-str", "node_limit-float", "path-int", "resume-int",
@@ -193,7 +196,7 @@ def test_every_default_key_is_type_checked():
         "cmat-and-entry_weights", "x_point-one-coordinate", "range-axis-three-entries",
         "range-count-fraction", "kind-membrane-with-z-axes", "kind-unknown",
         "kind-cosserat-without-z-axes", "expression-division-by-zero",
-        "expression-arity", "load-division-by-zero"])
+        "expression-arity", "expression-complex", "load-division-by-zero"])
 def test_main_names_the_key_of_a_bad_value(tmp_path, capsys, monkeypatch,
                                            command, text, key):
     # ``key`` is one fragment of the message or a tuple of them: the block

@@ -576,3 +576,46 @@ def test_value_is_bitwise_value_and_grad(family):
         ctx = _value_contexts(W, rng)["full-bare"]
         d1, d2 = W.family._dists(ctx.gradients(np.zeros(ctx.operator.ndof)))
         assert np.array_equal(d1, d2)
+
+
+# -- one context per cell L-scan ----------------------------------------------
+
+SCAN_FAMILIES = {
+    "p2-laminate": pnorm_density(2.0, modulation=TransverseLaminate((1.0, 3.0), (0.0,))),
+    "p3": pnorm_density(3.0),
+    "two-well": two_well_density(np.diag([0.7, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("L", [0.3, 1.0, 56.2])
+@pytest.mark.parametrize("mode,constrained", [(LATERAL_ZERO, False),
+                                              (LATERAL_PERIODIC, False),
+                                              (LATERAL_PERIODIC, True)])
+@pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+def test_scan_context_rescales_exactly(family, mode, constrained, L):
+    # a cell L-scan builds one frozen context at scale 1 and rescales it
+    W = SCAN_FAMILIES[family]
+    rng = np.random.default_rng(24)
+    mesh = CellMesh(3, 2, 4, boundary_mode=mode)
+    kw = dict(prefactor=0.5, x_mode="frozen", x0=MaterialPoint((0.3, 0.6), 0.2),
+              inplane_offset=0.3 * rng.normal(size=(3, 2)),
+              transverse_offset=0.3 * rng.normal(size=3), constrained=constrained)
+    base = EnergyContext(W, mesh, **kw)
+    fresh = EnergyContext(W, mesh, transverse_scale=L, **kw)
+    x = 0.3 * rng.normal(size=free_size(mesh))
+
+    def outputs(ctx):
+        val, grad = ctx.value_and_grad(x)
+        full = ctx.value_and_grad(x, offset_grads=True)
+        return (_bits(ctx.value(x)), _bits(val), grad.tobytes(), _bits(full[0]),
+                *(a.tobytes() for a in full[1:]))
+    assert outputs(base.rescaled(L)) == outputs(fresh)
+    if W.moduli is None:
+        assert base.rescaled(L).newton is None
+        return
+    g = fresh.value_and_grad(x)[1]
+    field_mod._FACTORS.clear()
+    want = fresh.newton(g).tobytes()
+    field_mod._FACTORS.clear()
+    base.newton(g)              # a factor at scale 1, which the rescale drops
+    assert base.rescaled(L).newton(g).tobytes() == want

@@ -183,10 +183,11 @@ def test_expression_modulation_needs_growth():
 
 @pytest.mark.parametrize("text", [
     "1/0 + x3", "2 % 0 + x1", "10**400 + x3", "9**9**9", "1" + "0" * 400 + " + x3",
-    "min()", "step() + 1", "sin(x1, x2) + 2"])
+    "min()", "step() + 1", "sin(x1, x2) + 2", "(-8)**(1/3) + x3"])
 def test_expression_refuses_what_it_cannot_evaluate(text):
     # constant arithmetic fails at compile time, not at the first solve;
-    # a second argument to sin would be numpy's ``out`` array
+    # a second argument to sin would be numpy's ``out`` array; a negative
+    # base to a fractional power is complex, not its real part
     with pytest.raises(ExpressionError):
         compile_expression(text)
 
